@@ -3,13 +3,23 @@
 
 use brics_bicc::{biconnected_components, BlockCutTree};
 use brics_graph::generators::{gnm_random_connected, grid_graph, web_like, ClassParams};
+use brics_graph::telemetry::NullRecorder;
 use brics_graph::traversal::{
-    bfs_distances, par_bfs_from_sources, HybridBfs, HybridParams, ParFrontierBfs,
+    bfs_distances, par_bfs_sweep, HybridBfs, HybridParams, KernelConfig, OnPanic, ParFrontierBfs,
 };
-use brics_graph::NodeId;
+use brics_graph::{CsrGraph, NodeId, RunControl};
 use brics_reduce::{reduce, ReductionConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+
+/// One BFS per source in parallel, per-source sums only (the exact-farness
+/// sweep).
+fn sweep_sums(g: &CsrGraph, sources: &[NodeId]) -> Vec<Option<(usize, u64)>> {
+    let ctl = RunControl::new();
+    par_bfs_sweep(g, sources, None, &ctl, &KernelConfig::default(), OnPanic::Fail, &NullRecorder)
+        .expect("no faults armed")
+        .per_source
+}
 
 fn bench_bfs(c: &mut Criterion) {
     let mut group = c.benchmark_group("bfs");
@@ -30,7 +40,7 @@ fn bench_bfs(c: &mut Criterion) {
     let g = gnm_random_connected(20_000, 80_000, 7);
     let sources: Vec<NodeId> = (0..64).map(|i| i * 300).collect();
     group.bench_function("parallel_64_sources_20k", |b| {
-        b.iter(|| black_box(par_bfs_from_sources(&g, &sources)))
+        b.iter(|| black_box(sweep_sums(&g, &sources)))
     });
     group.finish();
 }
@@ -87,7 +97,7 @@ fn bench_reordering(c: &mut Criterion) {
     ];
     for (name, graph) in variants {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(par_bfs_from_sources(&graph, &sources)))
+            b.iter(|| black_box(sweep_sums(&graph, &sources)))
         });
     }
     group.finish();

@@ -202,8 +202,7 @@ EXIT CODES:
 
 Graph files: SNAP edge lists (default), MatrixMarket (.mtx), or METIS
 (.graph/.metis). Disconnected inputs are connected by linking components
-(paper §IV-B); pass --giant to `farness` to keep only the largest
-component instead.
+(paper §IV-B); pass --giant to keep only the largest component instead.
 ";
 
 /// Entry point used by `main` (and by the CLI's integration tests).
@@ -260,16 +259,26 @@ fn degradation_from(p: &Parsed) -> Result<Option<DegradationPolicy>, CliError> {
     }
     let mut policy = DegradationPolicy::default();
     if let Some(v) = p.get("degrade").filter(|v| !v.is_empty()) {
-        let rate: f64 =
-            v.parse().map_err(|e| CliError::Usage(format!("--degrade {v}: {e}")))?;
-        if !rate.is_finite() || rate <= 0.0 || rate > 1.0 {
-            return Err(CliError::Usage(format!(
-                "--degrade {rate}: fallback rate must be in (0, 1]"
-            )));
-        }
-        policy = policy.with_fallback_rate(rate);
+        policy = policy.with_fallback_rate(parse_rate("degrade", v)?);
     }
     Ok(Some(policy))
+}
+
+/// Parses a sampling rate, which must lie in `(0, 1]`; `flag` names the
+/// option in the usage error.
+fn parse_rate(flag: &str, v: &str) -> Result<f64, CliError> {
+    let rate: f64 =
+        v.trim().parse().map_err(|e| CliError::Usage(format!("--{flag} '{v}': {e}")))?;
+    if rate.is_finite() && rate > 0.0 && rate <= 1.0 {
+        Ok(rate)
+    } else {
+        Err(CliError::Usage(format!("--{flag} {rate}: must be in (0, 1]")))
+    }
+}
+
+/// The `--rate` option, or `default` when absent.
+fn rate_from(p: &Parsed, default: f64) -> Result<f64, CliError> {
+    p.get("rate").map_or(Ok(default), |v| parse_rate("rate", v))
 }
 
 /// The `io.read` failpoint: checked once per graph load, before the file
@@ -504,10 +513,6 @@ fn outcome_name(o: RunOutcome) -> &'static str {
     }
 }
 
-fn load_graph(path: &str) -> Result<CsrGraph, CliError> {
-    load_graph_with(path, false)
-}
-
 fn load_graph_with(path: &str, giant: bool) -> Result<CsrGraph, CliError> {
     let g = if path.ends_with(".mtx") {
         read_mtx(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?
@@ -544,7 +549,7 @@ fn stats(p: &Parsed) -> Result<(), CliError> {
     let path = p.positional.get(1).ok_or_else(|| usage("usage: brics stats <graph>"))?;
     let m = metrics_from(p, &RunControl::new())?;
     let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    let g = load_graph(path)?;
+    let g = load_graph_with(path, p.has("giant"))?;
     let d = degree_stats(&g);
     let red = reduce_ctl_rec(&g, &ReductionConfig::all(), &RunControl::new(), &rec)
         .expect("unbounded control cannot be interrupted");
@@ -804,7 +809,7 @@ fn farness(p: &Parsed) -> Result<(), CliError> {
         Some(_) => None, // the prepared state comes from the artifact file
         None => Some(load_graph_with(path, p.has("giant"))?),
     };
-    let rate: f64 = p.get_parse("rate", 0.2).map_err(CliError::Usage)?;
+    let rate = rate_from(p, 0.2)?;
     let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
     let top: usize = p.get_parse("top", 0).map_err(CliError::Usage)?;
     let method_name = p.get("method").unwrap_or("cumulative");
@@ -1069,18 +1074,7 @@ fn compare(p: &Parsed) -> Result<(), CliError> {
         .get("rates")
         .unwrap_or("0.1,0.2,0.3")
         .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|e| CliError::Usage(format!("--rates '{s}': {e}")))
-                .and_then(|r| {
-                    if r.is_finite() && r > 0.0 && r <= 1.0 {
-                        Ok(r)
-                    } else {
-                        Err(CliError::Usage(format!("--rates {r}: must be in (0, 1]")))
-                    }
-                })
-        })
+        .map(|v| parse_rate("rates", v))
         .collect::<Result<_, _>>()?;
     let methods: Vec<String> = p
         .get("methods")
@@ -1316,9 +1310,9 @@ fn topk(p: &Parsed) -> Result<(), CliError> {
     }
     let g = match &artifact {
         Some(_) => None, // the prepared state comes from the artifact file
-        None => Some(load_graph(path)?),
+        None => Some(load_graph_with(path, p.has("giant"))?),
     };
-    let rate: f64 = p.get_parse("rate", 0.3).map_err(CliError::Usage)?;
+    let rate = rate_from(p, 0.3)?;
     let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
     // One prepared artifact (reduction + Block-Cut Tree built once, a
     // single `reduce` span) serves the estimate and the verification scan,
@@ -1395,7 +1389,7 @@ fn betweenness(p: &Parsed) -> Result<(), CliError> {
             RunOutcome::Complete,
         )
     } else {
-        let rate: f64 = p.get_parse("rate", 0.3).map_err(CliError::Usage)?;
+        let rate = rate_from(p, 0.3)?;
         let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
         let ctx = ExecutionContext::new().with_control(ctl).with_recorder(&rec);
         match brics::betweenness::sampled_betweenness_in(&g, SampleSize::Fraction(rate), seed, &ctx)
@@ -1525,6 +1519,34 @@ mod tests {
         run(&["topk", path.to_str().unwrap(), "3", "--rate", "0.5", "--json"]).unwrap();
         assert!(run(&["topk", path.to_str().unwrap()]).is_err()); // missing k
         assert!(run(&["topk", path.to_str().unwrap(), "x"]).is_err());
+
+        // A wheel on 7 vertices plus a separate triangle: linked into one
+        // 10-vertex graph by default, cut down to the wheel by --giant —
+        // which `topk` and `stats` must honour like `farness` does.
+        let disc = tmp("disc.el");
+        let wheel_and_triangle = "0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n\
+                                  7 8\n8 9\n9 7\n";
+        std::fs::write(&disc, wheel_and_triangle).unwrap();
+        let out = tmp("disc.json");
+        let vertices = |args: &[&str]| {
+            let mut args = args.to_vec();
+            args.extend(["--metrics", out.to_str().unwrap()]);
+            run(&args).unwrap();
+            let report: brics::RunReport =
+                serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
+            // Every vertex the reduction saw either survived or was removed.
+            report
+                .counters
+                .iter()
+                .filter(|(name, _)| name.ends_with("_removed") || *name == "reduce_surviving_nodes")
+                .map(|(_, &count)| count)
+                .sum::<u64>()
+        };
+        let d = disc.to_str().unwrap();
+        assert_eq!(vertices(&["topk", d, "2"]), 10);
+        assert_eq!(vertices(&["topk", d, "2", "--giant"]), 7);
+        assert_eq!(vertices(&["stats", d]), 10);
+        assert_eq!(vertices(&["stats", d, "--giant"]), 7);
     }
 
     #[test]
@@ -1710,6 +1732,17 @@ mod tests {
                 .exit_code(),
             2
         );
+        // Every command that samples takes a rate in (0, 1] and nothing
+        // else, like `compare --rates`.
+        for rate in ["2", "-1", "nan", "inf", "0"] {
+            for cmd in [
+                vec!["farness", path.to_str().unwrap(), "--rate", rate],
+                vec!["topk", path.to_str().unwrap(), "3", "--rate", rate],
+                vec!["betweenness", path.to_str().unwrap(), "--rate", rate],
+            ] {
+                assert_eq!(run(&cmd).unwrap_err().exit_code(), 2, "{cmd:?}");
+            }
+        }
         assert_eq!(run(&["generate", "metro", "100"]).unwrap_err().exit_code(), 2);
         assert_eq!(run(&["stats"]).unwrap_err().exit_code(), 2);
         assert_eq!(run(&["stats", "/nonexistent/file"]).unwrap_err().exit_code(), 3);

@@ -37,7 +37,7 @@ use crate::engine::{zero_coverage_estimate, ExecutionContext, PreparedGraph};
 use crate::sampling::draw_sources;
 use crate::{CentralityError, FarnessEstimate};
 use brics_graph::telemetry::{admit_memory_rec, record_outcome, timed, Counter, Recorder};
-use brics_graph::traversal::{par_bfs_accumulate_isolated_rec, KernelConfig};
+use brics_graph::traversal::{par_bfs_sweep, KernelConfig, OnPanic};
 use brics_graph::{CsrGraph, NodeId, RunControl, RunOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,12 +139,12 @@ pub(crate) struct ResilientRun {
 
 /// Quarantine-and-retry accumulation sweep over an explicit source set.
 ///
-/// Runs the panic-isolating driver, retries quarantined sources up to
-/// `policy.max_retries` times with linear backoff, and gives up on the
-/// stragglers by merging [`RunOutcome::Degraded`] into the outcome. The
-/// accumulator only ever holds contributions of *completed* sources, so
-/// retried sources publish exactly once and a fully recovered sweep is
-/// bit-identical to a fault-free one.
+/// Runs the sweep with [`OnPanic::Quarantine`], retries quarantined
+/// sources up to `policy.max_retries` times with linear backoff, and gives
+/// up on the stragglers by merging [`RunOutcome::Degraded`] into the
+/// outcome. The accumulator only ever holds contributions of *completed*
+/// sources, so retried sources publish exactly once and a fully recovered
+/// sweep is bit-identical to a fault-free one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resilient_sources_query<R: Recorder>(
     g: &CsrGraph,
@@ -165,27 +165,19 @@ pub(crate) fn resilient_sources_query<R: Recorder>(
     admit_memory_rec(ctl, admit_bytes, rec)?;
     let start = Instant::now();
     let mut acc = vec![0u64; n];
-    let mut rows: Vec<Option<(usize, u64)>> = vec![None; sources.len()];
-    let mut outcome = RunOutcome::Complete;
+    let mut sweep = |srcs: &[NodeId]| {
+        timed(rec, "sampling.bfs", || {
+            par_bfs_sweep(g, srcs, Some(&mut acc), ctl, kcfg, OnPanic::Quarantine, rec)
+        })
+    };
+    let first = sweep(sources)?;
+    let mut rows = first.per_source;
+    let mut outcome = first.outcome;
+    let mut failed = first.quarantined;
     let mut retries = 0u64;
     let mut quarantined = 0usize;
-    let mut pending: Vec<usize> = (0..sources.len()).collect();
     let mut round = 0u32;
-    loop {
-        let subset: Vec<NodeId> = pending.iter().map(|&i| sources[i]).collect();
-        let run = timed(rec, "sampling.bfs", || {
-            par_bfs_accumulate_isolated_rec(g, &subset, &mut acc, ctl, kcfg, rec)
-        });
-        for (j, row) in run.per_source.iter().enumerate() {
-            if row.is_some() {
-                rows[pending[j]] = *row;
-            }
-        }
-        outcome = outcome.merge(run.outcome);
-        let failed: Vec<usize> = run.quarantined.iter().map(|&j| pending[j]).collect();
-        if failed.is_empty() {
-            break;
-        }
+    while !failed.is_empty() {
         if outcome.is_interrupted() || round >= policy.max_retries {
             // Give up on the stragglers; the answer is sound without them,
             // just weaker.
@@ -204,7 +196,13 @@ pub(crate) fn resilient_sources_query<R: Recorder>(
         if !policy.backoff.is_zero() {
             std::thread::sleep(policy.backoff * round);
         }
-        pending = failed;
+        let subset: Vec<NodeId> = failed.iter().map(|&i| sources[i]).collect();
+        let run = sweep(&subset)?;
+        for (&i, row) in failed.iter().zip(run.per_source) {
+            rows[i] = row;
+        }
+        outcome = outcome.merge(run.outcome);
+        failed = run.quarantined.iter().map(|&j| failed[j]).collect();
     }
     record_outcome(rec, outcome, "resilient sampling sweep");
     if rows.iter().flatten().any(|&(reached, _)| reached != n) {

@@ -61,9 +61,11 @@ impl Default for PrepareConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryPlan {
     /// Bytes a flat accumulate run (sampling / reduced / harmonic /
-    /// betweenness) needs: shared accumulator plus per-thread scratch.
+    /// betweenness) needs: shared accumulator, per-thread scratch and the
+    /// rows of up to `n` sources.
     pub accumulate_bytes: u64,
-    /// Bytes an exact all-sources sweep needs (per-thread scratch only).
+    /// Bytes an exact all-sources sweep needs (per-thread scratch and one
+    /// row per vertex).
     pub exact_bytes: u64,
     /// Bytes the Cumulative pipeline needs (BCT arrays plus per-thread
     /// block-local scratch).

@@ -8,7 +8,7 @@ use crate::budget::exact_run_bytes;
 use crate::engine::ExecutionContext;
 use crate::CentralityError;
 use brics_graph::telemetry::{admit_memory_rec, record_outcome, record_panic, timed, Recorder};
-use brics_graph::traversal::{par_bfs_sums_ctl_rec, KernelConfig};
+use brics_graph::traversal::{par_bfs_sweep, KernelConfig, OnPanic};
 use brics_graph::{CsrGraph, NodeId, RunControl};
 
 /// Computes the exact farness of every vertex.
@@ -54,21 +54,28 @@ pub(crate) fn exact_query<R: Recorder>(
     }
     admit_memory_rec(ctl, admit_bytes, rec)?;
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
-    let (rows, outcome) = timed(rec, "exact.bfs", || par_bfs_sums_ctl_rec(g, &sources, ctl, kcfg, rec))
-        .map_err(|p| {
-            record_panic(rec, &p.detail);
-            p
-        })?;
-    record_outcome(rec, outcome, "exact farness sweep");
-    if !outcome.is_complete() {
-        return Err(CentralityError::Interrupted { outcome });
+    let run = timed(rec, "exact.bfs", || {
+        par_bfs_sweep(g, &sources, None, ctl, kcfg, OnPanic::Fail, rec)
+    })
+    .map_err(|p| {
+        record_panic(rec, &p.detail);
+        p
+    })?;
+    record_outcome(rec, run.outcome, "exact farness sweep");
+    if !run.outcome.is_complete() {
+        return Err(CentralityError::Interrupted { outcome: run.outcome });
     }
-    let rows: Vec<(usize, u64)> = rows.into_iter().map(Option::unwrap).collect();
-    if rows.iter().any(|&(reached, _)| reached != n) {
-        let comps = brics_graph::connectivity::connected_components(g).count();
-        return Err(CentralityError::Disconnected { components: comps });
+    let mut farness = Vec::with_capacity(n);
+    for row in run.per_source {
+        match row {
+            Some((reached, sum)) if reached == n => farness.push(sum),
+            _ => {
+                let comps = brics_graph::connectivity::connected_components(g).count();
+                return Err(CentralityError::Disconnected { components: comps });
+            }
+        }
     }
-    Ok(rows.into_iter().map(|(_, sum)| sum).collect())
+    Ok(farness)
 }
 
 /// Exact closeness: `1 / farness` (`0.0` where farness is 0, i.e. `n = 1`).

@@ -11,7 +11,7 @@ use crate::config::SampleSize;
 use crate::engine::{assemble_flat, ExecutionContext};
 use crate::{CentralityError, FarnessEstimate};
 use brics_graph::telemetry::{admit_memory_rec, record_outcome, record_panic, timed, Recorder};
-use brics_graph::traversal::{par_bfs_accumulate_ctl_rec, KernelConfig};
+use brics_graph::traversal::{par_bfs_sweep, KernelConfig, OnPanic};
 use brics_graph::{CsrGraph, NodeId, RunControl};
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
@@ -85,7 +85,7 @@ pub(crate) fn sampling_query<R: Recorder>(
 
     let mut acc = vec![0u64; n];
     let run = timed(rec, "sampling.bfs", || {
-        par_bfs_accumulate_ctl_rec(g, &sources, &mut acc, ctl, kcfg, rec)
+        par_bfs_sweep(g, &sources, Some(&mut acc), ctl, kcfg, OnPanic::Fail, rec)
     })
     .map_err(|p| {
         record_panic(rec, &p.detail);

@@ -165,6 +165,15 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// Lowers the high-watermark to the bytes live now, so the next span that
+/// allocates raises it and its [`MemSpan`](super::MemSpan) peak is exact.
+/// A test hook: the watermark is process-global, so a test calls this
+/// only while it holds whatever lock serializes its readers of the
+/// ledger. Estimators and binaries never call it.
+pub fn reset_peak() {
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
 /// Whether the tracking allocator is installed in this process (i.e. at
 /// least one allocation has been accounted — with the allocator installed
 /// as `#[global_allocator]` that is true before `main` runs).

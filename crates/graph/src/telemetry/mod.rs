@@ -104,8 +104,6 @@ pub enum Counter {
     BatchesTopdown,
     /// Source batches dispatched to the serial direction-optimizing kernel.
     BatchesHybrid,
-    /// Source batches dispatched to the frontier-parallel scheduler.
-    BatchesFrontierParallel,
     /// Vertices removed by the identical-nodes rule (I).
     ReduceIdenticalRemoved,
     /// Chain-shaped vertices removed alongside identical nodes.
@@ -181,7 +179,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 39] = [
         Counter::BfsSources,
         Counter::BfsSourcesSkipped,
         Counter::VerticesVisited,
@@ -192,7 +190,6 @@ impl Counter {
         Counter::PeakFrontier,
         Counter::BatchesTopdown,
         Counter::BatchesHybrid,
-        Counter::BatchesFrontierParallel,
         Counter::ReduceIdenticalRemoved,
         Counter::ReduceIdenticalChainRemoved,
         Counter::ReduceChainRemoved,
@@ -237,7 +234,6 @@ impl Counter {
             Counter::PeakFrontier => "peak_frontier",
             Counter::BatchesTopdown => "batches_topdown",
             Counter::BatchesHybrid => "batches_hybrid",
-            Counter::BatchesFrontierParallel => "batches_frontier_parallel",
             Counter::ReduceIdenticalRemoved => "reduce_identical_removed",
             Counter::ReduceIdenticalChainRemoved => "reduce_identical_chain_removed",
             Counter::ReduceChainRemoved => "reduce_chain_removed",

@@ -1,5 +1,6 @@
 //! Serial BFS with reusable scratch space.
 
+use super::hybrid::{KernelConfig, SerialBfsKernel};
 use crate::{CsrGraph, Dist, NodeId, INFINITE_DIST};
 
 /// Reusable BFS state: a distance array and a queue.
@@ -110,6 +111,20 @@ impl Bfs {
     /// tracked through the visited list only.
     pub fn distances_mut(&mut self) -> &mut [Dist] {
         &mut self.dist
+    }
+}
+
+impl SerialBfsKernel for Bfs {
+    fn for_config(n: usize, _cfg: &KernelConfig) -> Self {
+        Self::new(n)
+    }
+
+    fn traverse(&mut self, g: &CsrGraph, source: NodeId) -> (usize, u64) {
+        self.run_with(g, source, |_, _| {})
+    }
+
+    fn visited(&self) -> (&[NodeId], &[Dist]) {
+        (&self.touched, &self.dist)
     }
 }
 

@@ -17,12 +17,13 @@
 //! plumbed from `core::config` through [`KernelConfig`].
 //!
 //! Two engines share the heuristic:
-//! * [`HybridBfs`] — serial, drop-in for [`Bfs`] in the source-parallel
-//!   drivers (`one scratch per worker`);
-//! * [`ParFrontierBfs`] — frontier-parallel and level-synchronous, so a
-//!   *single* traversal saturates the pool when there are fewer sources
-//!   than threads. It consults [`RunControl`] once per level, keeping
-//!   deadline/cancel semantics sound without per-arc overhead.
+//! * [`HybridBfs`] — serial, drop-in for [`Bfs`] in the parallel sweep
+//!   (one scratch per worker);
+//! * [`ParFrontierBfs`] — frontier-parallel and level-synchronous: a
+//!   *single* traversal spreads each level across the pool, consulting
+//!   [`RunControl`] once per level. No estimator selects it — it lost to
+//!   the serial hybrid on every benched graph — so only the kernel bench
+//!   runs it.
 
 use super::frontier::FrontierBitmap;
 use super::parallel::atomic_view_u32;
@@ -75,11 +76,12 @@ impl HybridParams {
     }
 }
 
-/// Which BFS kernel the parallel drivers should run.
+/// Which BFS kernel the parallel sweep should run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Kernel {
-    /// Direction-optimizing kernel, with frontier-parallel execution when
-    /// a call has fewer sources than threads. The default.
+    /// Bit-parallel [`Kernel::MsBfs`] batches when a call carries at least
+    /// one full batch of sources on more than one thread, otherwise the
+    /// direction-optimizing serial kernel per source. The default.
     #[default]
     Auto,
     /// Classic serial top-down BFS per source ([`Bfs`](crate::traversal::Bfs));
@@ -125,7 +127,9 @@ impl Kernel {
 }
 
 /// Kernel choice plus heuristic tunables, threaded from `core::config`
-/// down into the parallel BFS drivers.
+/// down into the parallel BFS sweep
+/// ([`par_bfs_sweep`](crate::traversal::par_bfs_sweep)), whose only
+/// scheduling decision is [`KernelConfig::msbfs_applies`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct KernelConfig {
     /// Which kernel backs each traversal.
@@ -137,38 +141,10 @@ pub struct KernelConfig {
 /// Width of one MS-BFS batch: the sources sharing a machine word.
 pub const MSBFS_BATCH: usize = 64;
 
-/// Arc-count floor below which the frontier-parallel engine is never
-/// auto-selected. Each of its levels pays a rayon fork-join (tens of
-/// microseconds), so a traversal needs enough arcs per level to amortize
-/// it; `BENCH_kernels.json` shows it losing 5–6× to the serial hybrid on
-/// every bench graph up to ~260 k arcs. 1 M arcs is the first scale where
-/// per-level work plausibly dominates the sync cost.
-pub const FRONTIER_PARALLEL_MIN_ARCS: usize = 1_000_000;
-
 impl KernelConfig {
     /// A config for `kernel` with default switching parameters.
     pub fn new(kernel: Kernel) -> Self {
         Self { kernel, params: HybridParams::default() }
-    }
-
-    /// Whether a call with `num_sources` sources on a graph of `num_arcs`
-    /// arcs should run the frontier-parallel engine instead of
-    /// parallelising over sources: only when the kernel allows it, there
-    /// are too few sources to occupy `threads` workers (each
-    /// source-parallel BFS is serial, so `k < threads` strands
-    /// `threads - k` cores), *and* the graph is large enough that
-    /// per-level parallelism beats its fork-join overhead
-    /// ([`FRONTIER_PARALLEL_MIN_ARCS`]).
-    pub fn frontier_parallel_applies(
-        &self,
-        num_sources: usize,
-        num_arcs: usize,
-        threads: usize,
-    ) -> bool {
-        matches!(self.kernel, Kernel::Auto | Kernel::Hybrid)
-            && threads > 1
-            && num_sources < threads
-            && num_arcs >= FRONTIER_PARALLEL_MIN_ARCS
     }
 
     /// Whether a call with `num_sources` sources should run the
@@ -176,8 +152,7 @@ impl KernelConfig {
     /// (that is the point of naming it); [`Kernel::Auto`] batches only
     /// when the call carries at least one full batch of sources *and* more
     /// than one thread — the regime where amortizing memory traffic across
-    /// the batch wins. Checked before
-    /// [`KernelConfig::frontier_parallel_applies`] by the scheduler.
+    /// the batch wins.
     pub fn msbfs_applies(&self, num_sources: usize, threads: usize) -> bool {
         match self.kernel {
             Kernel::MsBfs => num_sources > 0,
@@ -214,21 +189,18 @@ impl TraversalStats {
 }
 
 /// Uniform constructor/run interface over the serial BFS kernels so the
-/// source-parallel drivers can be generic over [`Kernel`].
+/// parallel sweep can be generic over [`Kernel`].
 pub trait SerialBfsKernel: Send {
     /// Scratch space for graphs with up to `n` vertices under `cfg`.
     fn for_config(n: usize, cfg: &KernelConfig) -> Self;
 
-    /// Runs BFS from `source`, invoking `visit(v, d)` once per reached
-    /// vertex (including the source at distance 0). Returns
-    /// `(reached, Σ d)`. The visit *order* is kernel-specific; the set of
-    /// `(v, d)` pairs is not.
-    fn run_with_visit<F: FnMut(NodeId, Dist)>(
-        &mut self,
-        g: &CsrGraph,
-        source: NodeId,
-        visit: F,
-    ) -> (usize, u64);
+    /// Runs BFS from `source`, returning `(reached, Σ d)`.
+    fn traverse(&mut self, g: &CsrGraph, source: NodeId) -> (usize, u64);
+
+    /// The vertices the most recent run reached (the source included) and
+    /// the distance array they index. The order is kernel-specific; the
+    /// set of `(v, d)` pairs is not.
+    fn visited(&self) -> (&[NodeId], &[Dist]);
 
     /// Heuristic statistics from the most recent run. Kernels without a
     /// direction heuristic report the zero default.
@@ -253,33 +225,17 @@ pub trait SerialBfsKernel: Send {
     }
 }
 
-impl SerialBfsKernel for super::bfs::Bfs {
-    fn for_config(n: usize, _cfg: &KernelConfig) -> Self {
-        Self::new(n)
-    }
-
-    fn run_with_visit<F: FnMut(NodeId, Dist)>(
-        &mut self,
-        g: &CsrGraph,
-        source: NodeId,
-        visit: F,
-    ) -> (usize, u64) {
-        self.run_with(g, source, visit)
-    }
-}
-
 impl SerialBfsKernel for HybridBfs {
     fn for_config(n: usize, cfg: &KernelConfig) -> Self {
         Self::with_params(n, cfg.params)
     }
 
-    fn run_with_visit<F: FnMut(NodeId, Dist)>(
-        &mut self,
-        g: &CsrGraph,
-        source: NodeId,
-        visit: F,
-    ) -> (usize, u64) {
-        self.run_with(g, source, visit)
+    fn traverse(&mut self, g: &CsrGraph, source: NodeId) -> (usize, u64) {
+        self.run_with(g, source, |_, _| {})
+    }
+
+    fn visited(&self) -> (&[NodeId], &[Dist]) {
+        (&self.touched, &self.dist)
     }
 
     fn last_stats(&self) -> TraversalStats {
@@ -517,15 +473,14 @@ pub(super) fn chunk_ranges(len: usize, parts: usize, min_chunk: usize) -> Vec<(u
 /// One traversal spreads each level across the rayon pool: top-down levels
 /// claim vertices with a `compare_exchange` on an atomic view of the
 /// distance array; bottom-up levels partition the vertex range and publish
-/// discoveries into the next-frontier bitmap with `fetch_or`. Use it when
-/// a call has fewer sources than threads — the scheduler in
-/// [`crate::traversal::par_bfs_accumulate_ctl_with`] does this selection
-/// automatically.
+/// discoveries into the next-frontier bitmap with `fetch_or`. Each level
+/// pays a fork-join, and the kernel bench shows it slower than one serial
+/// [`HybridBfs`] per source on every benched graph, so the parallel sweep
+/// never selects it.
 ///
-/// [`RunControl`] is consulted once per level (not per source as in the
-/// source-parallel drivers), so a deadline interrupts a long traversal
-/// mid-flight; callers discard the partial distance array to keep the
-/// published results sound.
+/// [`RunControl`] is consulted once per level, so a deadline interrupts a
+/// long traversal mid-flight; callers discard the partial distance array
+/// to keep published results sound.
 pub struct ParFrontierBfs {
     dist: Vec<Dist>,
     frontier: Vec<NodeId>,
@@ -629,9 +584,9 @@ impl ParFrontierBfs {
             if let Some(cause) = ctl.should_stop() {
                 return Err(cause);
             }
-            // `bfs.level` failpoint: panic-like kinds unwind to the driver's
-            // per-source `catch_unwind`; deadline-expire surfaces through the
-            // `should_stop` above on the next level.
+            // `bfs.level` failpoint: panic-like kinds unwind to the caller;
+            // deadline-expire surfaces through the `should_stop` above on
+            // the next level.
             match ctl.fault_apply(FaultSite::BfsLevel, u64::from(level)) {
                 Some(FaultKind::Panic) => {
                     panic!("injected worker panic (bfs.level) at level {level}")
@@ -894,31 +849,6 @@ mod tests {
         assert_eq!(Kernel::MsBfs.name(), "msbfs");
     }
 
-    /// Pins the scheduler's selection table. The arc floor is the
-    /// regression fix for BENCH_kernels.json showing frontier-parallel
-    /// 5–6× *slower* than the serial hybrid on every bench graph (all
-    /// under ~260 k arcs): per-level fork-join overhead swamps the work.
-    #[test]
-    fn frontier_parallel_selection_rule() {
-        const BIG: usize = FRONTIER_PARALLEL_MIN_ARCS;
-        let auto = KernelConfig::default();
-        assert!(auto.frontier_parallel_applies(1, BIG, 4));
-        assert!(auto.frontier_parallel_applies(3, BIG, 4));
-        assert!(!auto.frontier_parallel_applies(4, BIG, 4));
-        assert!(!auto.frontier_parallel_applies(1, BIG, 1));
-        // The regression: small graphs must never pick frontier-parallel,
-        // whatever the source/thread ratio. 96 k arcs ≈ dense-gnm-3000,
-        // 262 k ≈ complete-512 — the largest bench graphs where it loses.
-        assert!(!auto.frontier_parallel_applies(3, 96_000, 4));
-        assert!(!auto.frontier_parallel_applies(1, 262_144, 8));
-        assert!(!auto.frontier_parallel_applies(1, BIG - 1, 4));
-        let td = KernelConfig::new(Kernel::TopDown);
-        assert!(!td.frontier_parallel_applies(1, BIG, 8));
-        // MsBfs batches instead of going frontier-parallel.
-        let ms = KernelConfig::new(Kernel::MsBfs);
-        assert!(!ms.frontier_parallel_applies(1, BIG, 8));
-    }
-
     #[test]
     fn msbfs_selection_rule() {
         let auto = KernelConfig::default();
@@ -1021,8 +951,31 @@ mod tests {
         // The queue-based kernel has no level structure and reports none.
         let mut td = super::super::bfs::Bfs::new(60);
         td.set_level_recording(true);
-        SerialBfsKernel::run_with_visit(&mut td, &g, 0, |_, _| {});
+        td.traverse(&g, 0);
         assert!(td.level_sizes().is_empty());
+    }
+
+    #[test]
+    fn serial_kernels_report_the_visited_set() {
+        let g = GraphBuilder::from_edges(7, &[(0, 1), (1, 2), (3, 4), (5, 6)]);
+        let mut td = super::super::bfs::Bfs::new(7);
+        let mut hy = HybridBfs::with_params(7, HybridParams::eager_bottom_up());
+        for s in [0, 3, 1] {
+            let expect = bfs_distances(&g, s);
+            let pairs = |(vs, dist): (&[NodeId], &[Dist])| {
+                let mut p: Vec<_> = vs.iter().map(|&v| (v, dist[v as usize])).collect();
+                p.sort_unstable();
+                p
+            };
+            let want: Vec<(NodeId, Dist)> = (0..7)
+                .filter(|&v| expect[v as usize] != INFINITE_DIST)
+                .map(|v| (v, expect[v as usize]))
+                .collect();
+            assert_eq!(td.traverse(&g, s).0, want.len());
+            assert_eq!(pairs(SerialBfsKernel::visited(&td)), want, "topdown from {s}");
+            assert_eq!(hy.traverse(&g, s).0, want.len());
+            assert_eq!(pairs(SerialBfsKernel::visited(&hy)), want, "hybrid from {s}");
+        }
     }
 
     #[test]

@@ -21,13 +21,9 @@ pub use dial::DialBfs;
 pub use frontier::{FrontierBitmap, SetBits};
 pub use hybrid::{
     HybridBfs, HybridParams, Kernel, KernelConfig, ParFrontierBfs, SerialBfsKernel,
-    TraversalStats, FRONTIER_PARALLEL_MIN_ARCS, MSBFS_BATCH,
+    TraversalStats, MSBFS_BATCH,
 };
 pub use msbfs::MsBfs;
 pub use parallel::{
-    atomic_view, atomic_view_u32, par_bfs_accumulate, par_bfs_accumulate_ctl,
-    par_bfs_accumulate_ctl_rec, par_bfs_accumulate_ctl_with, par_bfs_accumulate_isolated,
-    par_bfs_accumulate_isolated_rec, par_bfs_from_sources, par_bfs_from_sources_ctl,
-    par_bfs_sums_ctl, par_bfs_sums_ctl_rec, par_bfs_sums_ctl_with, AccumulatorStats,
-    ControlledAccumulation, IsolatedAccumulation, WorkerGuard, WorkerPanic,
+    atomic_view, atomic_view_u32, par_bfs_sweep, OnPanic, Sweep, WorkerGuard, WorkerPanic,
 };

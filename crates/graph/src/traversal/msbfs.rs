@@ -29,10 +29,9 @@
 //!   parallelism available. Both variants produce bit-identical results:
 //!   the OR/ADD operations commute, only discovery *order* differs.
 //!
-//! [`RunControl`] is consulted once per level, like the frontier-parallel
-//! engine: an interrupted batch returns `Err` and the caller publishes
-//! nothing for it, preserving the publish-after-complete partial-soundness
-//! contract at batch granularity.
+//! [`RunControl`] is consulted once per level: an interrupted batch returns
+//! `Err` and the caller publishes nothing for it, preserving the
+//! publish-after-complete partial-soundness contract at batch granularity.
 
 use super::hybrid::{chunk_ranges, TraversalStats, MSBFS_BATCH};
 use super::parallel::atomic_view;
@@ -69,15 +68,17 @@ pub struct MsBfs {
 }
 
 impl MsBfs {
-    /// Scratch for graphs with up to `n` vertices.
+    /// Scratch for graphs with up to `n` vertices. The reset lists hold at
+    /// most `n` distinct vertices each, so they are sized once here and
+    /// never grow on such a graph.
     pub fn new(n: usize) -> Self {
         Self {
             seen: vec![0; n],
             frontier: vec![0; n],
             next: vec![0; n],
-            active: Vec::new(),
-            candidates: Vec::new(),
-            touched: Vec::new(),
+            active: Vec::with_capacity(n),
+            candidates: Vec::with_capacity(n),
+            touched: Vec::with_capacity(n),
             reached: [0; MSBFS_BATCH],
             sums: [0; MSBFS_BATCH],
             record_rows: false,
@@ -109,6 +110,12 @@ impl MsBfs {
     /// recording was on.
     pub fn dist_row(&self, i: usize) -> &[Dist] {
         &self.dist[i * self.row_stride..(i + 1) * self.row_stride]
+    }
+
+    /// Every vertex some source of the most recent batch reached (the
+    /// sources included), each once.
+    pub fn visited(&self) -> &[NodeId] {
+        &self.touched
     }
 
     /// Heuristic-shaped statistics of the most recent run: `levels` counts

@@ -1,37 +1,31 @@
-//! Rayon-parallel multi-source BFS, plus the kernel-selection scheduler.
+//! Rayon-parallel multi-source BFS: the one sweep every whole-graph
+//! estimator runs its sources through.
 //!
-//! The default parallelism is over *sources*: each worker owns a private
-//! serial BFS scratch (via `map_init`) and publishes per-vertex distance
-//! sums into a shared atomic accumulator. This mirrors the paper's OpenMP
-//! loop over sampled vertices (Algorithm 1 line 3, Algorithm 5 line 5) and
-//! keeps memory at `O(n)` total rather than `O(n·k)` — the same space
+//! [`par_bfs_sweep`] runs one BFS per source and, given an accumulator,
+//! adds `Σ_s d(s, v)` into it for every vertex `v`. Parallelism is over
+//! *sources*: each worker owns `O(n)` private scratch and publishes into
+//! the shared atomic accumulator. This mirrors the paper's OpenMP loop over
+//! sampled vertices (Algorithm 1 line 3, Algorithm 5 line 5) and keeps
+//! memory at `O(n)` per worker rather than `O(n·k)` — the space
 //! optimisation §II-A describes.
 //!
-//! Source-parallelism strands cores when a call carries fewer sources than
-//! threads (small `k`, or one giant block after reduction). The `_with`
-//! entry points therefore take a [`KernelConfig`] and pick between three
-//! engines:
-//!
-//! * **Batched MS-BFS** ([`MsBfs`]) when there are enough sources to fill
-//!   64-wide bit-parallel batches (see [`KernelConfig::msbfs_applies`]) —
-//!   one traversal serves up to 64 sources at once.
-//! * **Frontier-parallel** ([`ParFrontierBfs`]) when sources are scarcer
-//!   than threads *and* the graph is large enough to amortise per-level
-//!   fork-join (see [`KernelConfig::frontier_parallel_applies`]): sources
-//!   run one after another, each traversal spreading its levels across the
-//!   pool.
-//! * **Source-parallel** with the configured serial kernel otherwise.
+//! One rule covers every kernel: a *unit* adds to the accumulator only
+//! after it completes. With a serial kernel ([`Bfs`], [`HybridBfs`]) the
+//! unit is one source, published from the kernel's own distance array;
+//! with the bit-parallel [`MsBfs`] (see [`KernelConfig::msbfs_applies`])
+//! it is one batch of up to [`MSBFS_BATCH`] sources, published from a
+//! dense `u64` array per worker. An interrupted or panicked unit therefore
+//! never reaches the accumulator, and what a worker panic does is one
+//! argument of the sweep ([`OnPanic`]).
 //!
 //! See DESIGN.md §"BFS kernel selection" for the rationale.
 
 use super::bfs::Bfs;
-use super::hybrid::{
-    HybridBfs, Kernel, KernelConfig, ParFrontierBfs, SerialBfsKernel, MSBFS_BATCH,
-};
+use super::hybrid::{HybridBfs, Kernel, KernelConfig, SerialBfsKernel, MSBFS_BATCH};
 use super::msbfs::MsBfs;
 use crate::control::{panic_message, FaultKind, FaultSite, RunControl, RunOutcome};
-use crate::telemetry::{record_panic, timed, Counter, Metric, NullRecorder, Recorder};
-use crate::{CsrGraph, Dist, NodeId, INFINITE_DIST};
+use crate::telemetry::{record_panic, timed, Counter, Metric, Recorder};
+use crate::{CsrGraph, NodeId};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -53,43 +47,9 @@ pub fn atomic_view_u32(dist: &mut [u32]) -> &[AtomicU32] {
     unsafe { std::slice::from_raw_parts(dist.as_ptr() as *const AtomicU32, dist.len()) }
 }
 
-/// Summary statistics of a multi-source accumulation run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AccumulatorStats {
-    /// Number of BFS traversals performed.
-    pub num_sources: usize,
-    /// Total vertices visited across all traversals.
-    pub total_visited: u64,
-}
-
-/// Runs one BFS per source in parallel and accumulates, for every vertex
-/// `u`, the partial farness `Σ_{s ∈ sources} d(s, u)` into `acc[u]`.
-///
-/// Additionally returns, per source `s` (in input order), the pair
-/// `(reached, Σ_w d(s, w))` — the source's *exact* farness when the graph is
-/// connected.
-///
-/// Unreachable pairs contribute nothing (callers are expected to pass
-/// connected graphs or blocks; the reached counts let them detect otherwise).
-pub fn par_bfs_accumulate(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    acc: &mut [u64],
-) -> (Vec<(usize, u64)>, AccumulatorStats) {
-    // Also asserted by the controlled path below; checked here so the
-    // uncontrolled entry point reports the caller's mistake directly
-    // rather than from inside the delegate.
-    assert!(acc.len() >= g.num_nodes(), "accumulator too small");
-    let run = par_bfs_accumulate_ctl(g, sources, acc, &RunControl::new())
-        .unwrap_or_else(|p| panic!("BFS worker panicked: {}", p.detail));
-    debug_assert!(run.outcome.is_complete());
-    let per_source = run.per_source.into_iter().map(Option::unwrap).collect();
-    (per_source, run.stats)
-}
-
-/// A worker panicked inside a controlled parallel traversal. The shared
-/// accumulator may hold a partial contribution from the panicked source, so
-/// callers must discard it rather than build an estimate from it.
+/// A worker panicked inside a controlled parallel loop. What the loop had
+/// already accumulated is not an answer to the caller's query, so callers
+/// discard it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Panic payload rendered as text.
@@ -104,17 +64,31 @@ impl std::fmt::Display for WorkerPanic {
 
 impl std::error::Error for WorkerPanic {}
 
-/// Result of a controlled multi-source accumulation.
+/// What a worker panic does to a [`par_bfs_sweep`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OnPanic {
+    /// End the sweep with [`WorkerPanic`]; units not yet started are
+    /// skipped.
+    Fail,
+    /// Quarantine the panicked unit's sources ([`Sweep::quarantined`]) and
+    /// keep going, so the degradation ladder can retry them.
+    Quarantine,
+}
+
+/// Result of a [`par_bfs_sweep`].
 #[derive(Clone, Debug)]
-pub struct ControlledAccumulation {
+pub struct Sweep {
     /// Per source, in input order: `Some((reached, Σ d))` if the source's
-    /// BFS ran, `None` if it was skipped because the run was interrupted.
-    /// A skipped source contributed **nothing** to the accumulator — the
-    /// control is consulted before each source starts, never mid-BFS.
+    /// unit completed, `None` if it was skipped (the run stopped) or
+    /// quarantined (a panic). A `None` source added **nothing** to the
+    /// accumulator.
     pub per_source: Vec<Option<(usize, u64)>>,
-    /// Statistics over the *completed* sources only.
-    pub stats: AccumulatorStats,
-    /// Whether the run completed or was interrupted (and why).
+    /// Indices into the input `sources` whose unit panicked under
+    /// [`OnPanic::Quarantine`], ascending. A panicked MS-BFS batch
+    /// quarantines every source of the batch.
+    pub quarantined: Vec<usize>,
+    /// Whether the sweep completed or was interrupted (and why).
+    /// Quarantined sources do **not** mark it interrupted.
     pub outcome: RunOutcome,
 }
 
@@ -155,9 +129,8 @@ impl StopCell {
 ///
 /// Public so estimators with bespoke per-source work (distance
 /// reconstruction, block-local pivot BFS) can honour the same contract as
-/// the kernels in this module: wrap each source in
-/// [`WorkerGuard::run_source`], then call [`WorkerGuard::finish`] once the
-/// parallel loop drains.
+/// [`par_bfs_sweep`]: wrap each source in [`WorkerGuard::run_source`], then
+/// call [`WorkerGuard::finish`] once the parallel loop drains.
 pub struct WorkerGuard<'c> {
     ctl: &'c RunControl,
     site: FaultSite,
@@ -203,27 +176,35 @@ impl<'c> WorkerGuard<'c> {
     /// Runs `work` for source `s` unless the run is stopped or poisoned.
     /// Panics inside `work` are captured and poison the run.
     pub fn run_source<R>(&self, s: NodeId, work: impl FnOnce() -> R) -> Option<R> {
-        if self.poisoned.load(Ordering::Relaxed) {
-            return None;
-        }
-        if let Some(cause) = self.ctl.should_stop() {
-            self.stop.record(cause);
+        if self.skip() {
             return None;
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
             apply_worker_fault(self.ctl, self.site, s);
             work()
         }));
-        match result {
-            Ok(r) => Some(r),
-            Err(payload) => {
-                let detail = panic_message(payload.as_ref());
-                self.poisoned.store(true, Ordering::Relaxed);
-                let mut slot = self.panic_detail.lock().unwrap();
-                slot.get_or_insert(detail);
-                None
-            }
+        result.map_err(|payload| self.poison(panic_message(payload.as_ref()))).ok()
+    }
+
+    /// Whether the next unit of work must be skipped: the run is poisoned,
+    /// or the control asks to stop (the cause is recorded).
+    fn skip(&self) -> bool {
+        if self.poisoned.load(Ordering::Relaxed) {
+            return true;
         }
+        match self.ctl.should_stop() {
+            Some(cause) => {
+                self.stop.record(cause);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Marks the run poisoned, keeping the first panic's detail.
+    fn poison(&self, detail: String) {
+        self.poisoned.store(true, Ordering::Relaxed);
+        self.panic_detail.lock().expect("no panic under lock").get_or_insert(detail);
     }
 
     /// Folds the shared state into a final verdict.
@@ -231,9 +212,8 @@ impl<'c> WorkerGuard<'c> {
         if self.poisoned.load(Ordering::Relaxed) {
             let detail = self
                 .panic_detail
-                .lock()
-                .unwrap()
-                .take()
+                .into_inner()
+                .expect("no panic under lock")
                 .unwrap_or_else(|| "unknown panic".to_string());
             return Err(WorkerPanic { detail });
         }
@@ -241,89 +221,299 @@ impl<'c> WorkerGuard<'c> {
     }
 }
 
-/// Controlled variant of [`par_bfs_accumulate`]: consults `ctl` before each
-/// BFS source, skipping the remainder once the deadline passes or the run is
-/// cancelled, and isolates worker panics instead of unwinding through the
-/// pool.
+/// Runs one BFS per source of `sources` in parallel and returns each
+/// source's `(reached, Σ d)`: its exact farness when the graph is
+/// connected (the reached counts let callers detect otherwise).
 ///
-/// On interruption the returned [`ControlledAccumulation`] is still sound:
-/// `acc` holds complete contributions of exactly the `Some` sources.
-/// On `Err` (worker panic) `acc` may hold a torn contribution and must be
-/// discarded.
+/// Given `acc` (at least `g.num_nodes()` long), the sweep also adds the
+/// partial farness `Σ_s d(s, u)` over the completed sources into `acc[u]`
+/// for every vertex `u`; unreachable pairs add nothing. Without `acc` it
+/// adds nothing and allocates no accumulator scratch: exact farness needs
+/// only the per-source sums.
 ///
-/// Uses the default [`KernelConfig`] (direction-optimizing, frontier-parallel
-/// when applicable); [`par_bfs_accumulate_ctl_with`] takes an explicit one.
-pub fn par_bfs_accumulate_ctl(
+/// The kernel follows `cfg`: batched MS-BFS when
+/// [`KernelConfig::msbfs_applies`], otherwise the configured serial kernel
+/// per source. The control is consulted before each unit (and by MS-BFS
+/// before each level); on interruption `acc` holds the complete
+/// contributions of exactly the `Some` sources. `Err` comes only under
+/// [`OnPanic::Fail`]. The recorder only observes: kernel choice, scheduling
+/// and results are bit-identical with
+/// [`NullRecorder`](crate::telemetry::NullRecorder).
+pub fn par_bfs_sweep<R: Recorder>(
     g: &CsrGraph,
     sources: &[NodeId],
-    acc: &mut [u64],
-    ctl: &RunControl,
-) -> Result<ControlledAccumulation, WorkerPanic> {
-    par_bfs_accumulate_ctl_with(g, sources, acc, ctl, &KernelConfig::default())
-}
-
-/// [`par_bfs_accumulate_ctl`] with an explicit kernel choice. This is the
-/// scheduler: it picks frontier-parallel execution when the kernel allows
-/// it and `sources.len() < rayon::current_num_threads()` (each serial BFS
-/// would strand the remaining cores), otherwise runs the configured serial
-/// kernel parallel over sources.
-///
-/// The soundness contract is identical in every mode: on interruption,
-/// `acc` holds complete contributions of exactly the `Some` sources. The
-/// frontier-parallel engine checks the control at *level* granularity and
-/// discards the partial traversal of an interrupted source before anything
-/// is published.
-pub fn par_bfs_accumulate_ctl_with(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    acc: &mut [u64],
+    acc: Option<&mut [u64]>,
     ctl: &RunControl,
     cfg: &KernelConfig,
-) -> Result<ControlledAccumulation, WorkerPanic> {
-    par_bfs_accumulate_ctl_rec(g, sources, acc, ctl, cfg, &NullRecorder)
-}
-
-/// [`par_bfs_accumulate_ctl_with`] with a telemetry [`Recorder`]. The
-/// recorder only observes — kernel selection, scheduling and results are
-/// bit-identical with [`NullRecorder`] (which this whole stack defaults
-/// to, compiling the instrumentation away).
-pub fn par_bfs_accumulate_ctl_rec<R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    acc: &mut [u64],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
+    on_panic: OnPanic,
     rec: &R,
-) -> Result<ControlledAccumulation, WorkerPanic> {
-    assert!(acc.len() >= g.num_nodes(), "accumulator too small");
+) -> Result<Sweep, WorkerPanic> {
+    let n = g.num_nodes();
+    if let Some(acc) = &acc {
+        assert!(acc.len() >= n, "accumulator too small");
+    }
     if rec.enabled() {
         rec.add(Counter::BfsSourcesPlanned, sources.len() as u64);
     }
-    let per_source = timed(rec, "bfs.batch", || {
+    let args = SweepArgs { g, sources, acc: acc.map(atomic_view), ctl, on_panic, rec };
+    let sweep = timed(rec, "bfs.batch", || {
         let threads = rayon::current_num_threads();
         if cfg.msbfs_applies(sources.len(), threads) {
-            msbfs_rows(g, sources, ctl, Some(acc), rec)
-        } else if cfg.frontier_parallel_applies(sources.len(), g.num_arcs(), threads) {
-            frontier_parallel_rows(g, sources, ctl, cfg, Some(acc), rec)
-        } else {
-            match cfg.kernel {
-                Kernel::TopDown => {
-                    source_parallel_rows::<Bfs, R>(g, sources, ctl, cfg, Some(acc), rec)
-                }
-                // `MsBfs` only lands here with zero sources (the batched
-                // engine otherwise always applies); the kernel is moot.
-                Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => {
-                    source_parallel_rows::<HybridBfs, R>(g, sources, ctl, cfg, Some(acc), rec)
-                }
+            // Enough batches to occupy the pool: one batch per worker with
+            // serial sweeps. Fewer: one batch after another, each sweep
+            // spread across the pool. OR and `u64` addition commute, so
+            // both placements give bit-identical rows and sums.
+            let parallel = threads == 1 || sources.len().div_ceil(MSBFS_BATCH) >= threads;
+            let dense = if args.acc.is_some() { n } else { 0 };
+            return args.run(MSBFS_BATCH, MSBFS_BATCH, parallel, || BatchWorker {
+                ms: MsBfs::new(n),
+                dense: vec![0; dense],
+                parallel_sweep: !parallel,
+            });
+        }
+        if rec.enabled() {
+            rec.incr(match cfg.kernel {
+                Kernel::TopDown => Counter::BatchesTopdown,
+                Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => Counter::BatchesHybrid,
+            });
+        }
+        // One source per unit, handed out in runs sized for ~32 queue
+        // items per thread.
+        let run_len = sources.len().div_ceil(threads * 32).max(1);
+        match cfg.kernel {
+            Kernel::TopDown => args.run(1, run_len, true, || serial::<Bfs>(n, cfg, rec)),
+            // `MsBfs` only lands here with zero sources (the batched engine
+            // otherwise always applies); the kernel is moot.
+            Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => {
+                args.run(1, run_len, true, || serial::<HybridBfs>(n, cfg, rec))
             }
         }
     })?;
-    record_rows(rec, g, &per_source.0);
-    Ok(finish_accumulation(per_source))
+    record_rows(rec, g, &sweep.per_source);
+    Ok(sweep)
 }
 
-/// Charges the per-source counters for one driver call: completed sources
-/// (at the bench's `num_arcs()`-per-source edge convention, keeping the
+/// What every unit of one [`par_bfs_sweep`] shares.
+struct SweepArgs<'a, R> {
+    g: &'a CsrGraph,
+    sources: &'a [NodeId],
+    acc: Option<&'a [AtomicU64]>,
+    ctl: &'a RunControl,
+    on_panic: OnPanic,
+    rec: &'a R,
+}
+
+impl<R: Recorder> SweepArgs<'_, R> {
+    /// The sweep loop: units of `unit_len` sources, handed to workers in
+    /// items of `item_len` sources (in parallel, or one after another on a
+    /// single worker). Each unit runs under `catch_unwind` and publishes
+    /// into the accumulator only once it completes.
+    fn run<W: Worker>(
+        &self,
+        unit_len: usize,
+        item_len: usize,
+        parallel: bool,
+        new_worker: impl Fn() -> W + Sync + Send,
+    ) -> Result<Sweep, WorkerPanic> {
+        let mut per_source = vec![None; self.sources.len()];
+        let guard = WorkerGuard::new(self.ctl);
+        let quarantined = Mutex::new(Vec::new());
+        let run_item = |w: &mut W, (first, sources, rows): Item<'_>| {
+            let units = sources.chunks(unit_len).zip(rows.chunks_mut(unit_len));
+            for (i, (unit, rows)) in units.enumerate() {
+                if guard.skip() {
+                    continue;
+                }
+                let first = first + i * unit_len;
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    w.run(self.g, unit, first / unit_len, self.ctl, self.rec, rows)
+                }));
+                match result {
+                    Ok(Ok(())) => {
+                        if let Some(acc) = self.acc {
+                            w.publish(acc);
+                        }
+                        continue;
+                    }
+                    Ok(Err(cause)) => guard.stop.record(cause),
+                    Err(payload) => {
+                        let detail = panic_message(payload.as_ref());
+                        match self.on_panic {
+                            OnPanic::Fail => guard.poison(detail),
+                            OnPanic::Quarantine => {
+                                record_panic(self.rec, &detail);
+                                let mut list = quarantined.lock().expect("no panic under lock");
+                                list.extend(first..first + unit.len());
+                            }
+                        }
+                    }
+                }
+                rows.fill(None);
+                w.discard();
+            }
+        };
+        let items: Vec<Item<'_>> = self
+            .sources
+            .chunks(item_len)
+            .zip(per_source.chunks_mut(item_len))
+            .enumerate()
+            .map(|(i, (sources, rows))| (i * item_len, sources, rows))
+            .collect();
+        if parallel {
+            items.into_par_iter().for_each_init(&new_worker, run_item);
+        } else {
+            let mut w = new_worker();
+            items.into_iter().for_each(|item| run_item(&mut w, item));
+        }
+        let outcome = guard.finish()?;
+        let mut quarantined = quarantined.into_inner().expect("no panic under lock");
+        quarantined.sort_unstable();
+        Ok(Sweep { per_source, quarantined, outcome })
+    }
+}
+
+/// A run of consecutive sources handed to one worker: the index of its
+/// first source, the sources and their rows.
+type Item<'a> = (usize, &'a [NodeId], &'a mut [Option<(usize, u64)>]);
+
+/// One worker's traversal scratch, as [`par_bfs_sweep`] drives it. A unit
+/// (one source for a serial kernel, one batch for MS-BFS) completes or
+/// fails as a whole.
+trait Worker: Send {
+    /// Runs one unit (`ordinal` counts units from the start of the sweep)
+    /// after applying its failpoints, writing each source's `(reached,
+    /// Σ d)` into `rows`. `Err` is the cause of a unit interrupted
+    /// mid-traversal.
+    fn run<R: Recorder>(
+        &mut self,
+        g: &CsrGraph,
+        unit: &[NodeId],
+        ordinal: usize,
+        ctl: &RunControl,
+        rec: &R,
+        rows: &mut [Option<(usize, u64)>],
+    ) -> Result<(), RunOutcome>;
+
+    /// Adds the completed unit's distances into `acc`.
+    fn publish(&mut self, acc: &[AtomicU64]);
+
+    /// Drops a failed unit's partial contribution.
+    fn discard(&mut self) {}
+}
+
+/// Fresh scratch of a serial kernel for one worker.
+fn serial<K: SerialBfsKernel>(n: usize, cfg: &KernelConfig, rec: &impl Recorder) -> K {
+    let mut bfs = K::for_config(n, cfg);
+    // Per-level frontier sizes feed the report's histogram; the log is
+    // only kept when someone will read it.
+    bfs.set_level_recording(rec.enabled());
+    bfs
+}
+
+impl<K: SerialBfsKernel> Worker for K {
+    fn run<R: Recorder>(
+        &mut self,
+        g: &CsrGraph,
+        unit: &[NodeId],
+        _ordinal: usize,
+        ctl: &RunControl,
+        rec: &R,
+        rows: &mut [Option<(usize, u64)>],
+    ) -> Result<(), RunOutcome> {
+        let s = unit[0];
+        apply_worker_fault(ctl, FaultSite::BfsSource, s);
+        let start = rec.enabled().then(Instant::now);
+        rows[0] = Some(self.traverse(g, s));
+        if let Some(start) = start {
+            let end = Instant::now();
+            rec.observe(Metric::SourceBfsNanos, end.duration_since(start).as_nanos() as u64);
+            if rec.trace_enabled() {
+                rec.trace_span("bfs.source", start, end);
+            }
+            record_traversal_stats(rec, self.last_stats());
+            for &n_f in self.level_sizes() {
+                rec.observe(Metric::FrontierSize, n_f);
+            }
+        }
+        Ok(())
+    }
+
+    fn publish(&mut self, acc: &[AtomicU64]) {
+        let (visited, dist) = self.visited();
+        for &v in visited {
+            let d = dist[v as usize];
+            if d > 0 {
+                acc[v as usize].fetch_add(u64::from(d), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// MS-BFS scratch for one worker: a unit is one batch of up to
+/// [`MSBFS_BATCH`] sources.
+struct BatchWorker {
+    ms: MsBfs,
+    /// The running batch's `Σ d` per vertex, published when the batch
+    /// completes. Empty when the sweep has no accumulator.
+    dense: Vec<u64>,
+    /// Spread each level's arc sweep across the pool.
+    parallel_sweep: bool,
+}
+
+impl Worker for BatchWorker {
+    /// The batch-granular [`FaultSite::BfsBatch`] arm fires on the batch
+    /// ordinal, then the [`FaultSite::BfsSource`] arm for every member, so
+    /// plans aimed at single sources keep firing under batching (the blast
+    /// radius widens to the batch).
+    fn run<R: Recorder>(
+        &mut self,
+        g: &CsrGraph,
+        unit: &[NodeId],
+        ordinal: usize,
+        ctl: &RunControl,
+        rec: &R,
+        rows: &mut [Option<(usize, u64)>],
+    ) -> Result<(), RunOutcome> {
+        if rec.enabled() {
+            rec.incr(Counter::BatchesMsbfs);
+        }
+        apply_worker_fault(ctl, FaultSite::BfsBatch, ordinal as NodeId);
+        for &s in unit {
+            apply_worker_fault(ctl, FaultSite::BfsSource, s);
+        }
+        let dense = &mut self.dense;
+        let sums = self.ms.run_batch_ctl_rec(g, unit, ctl, self.parallel_sweep, rec, |v, bits, d| {
+            // Several sources may reach `v` at the same level; one add
+            // covers them all.
+            if let Some(sum) = dense.get_mut(v as usize) {
+                *sum += u64::from(d) * u64::from(bits.count_ones());
+            }
+        })?;
+        for (row, sum) in rows.iter_mut().zip(sums) {
+            *row = Some(sum);
+        }
+        if rec.enabled() {
+            record_traversal_stats(rec, self.ms.last_stats());
+        }
+        Ok(())
+    }
+
+    fn publish(&mut self, acc: &[AtomicU64]) {
+        for &v in self.ms.visited() {
+            let add = std::mem::take(&mut self.dense[v as usize]);
+            if add > 0 {
+                acc[v as usize].fetch_add(add, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn discard(&mut self) {
+        self.dense.fill(0);
+    }
+}
+
+/// Charges the per-source counters for one sweep: completed sources (at
+/// the bench's `num_arcs()`-per-source edge convention, keeping the
 /// report's MTEPS comparable with `BENCH_kernels.json`) and skipped ones.
 fn record_rows<R: Recorder>(rec: &R, g: &CsrGraph, rows: &[Option<(usize, u64)>]) {
     if !rec.enabled() {
@@ -337,255 +527,6 @@ fn record_rows<R: Recorder>(rec: &R, g: &CsrGraph, rows: &[Option<(usize, u64)>]
     rec.add(Counter::BfsSourcesSkipped, rows.len() as u64 - done);
 }
 
-/// Folds per-source rows into the [`ControlledAccumulation`] summary.
-fn finish_accumulation(
-    (per_source, outcome): (Vec<Option<(usize, u64)>>, RunOutcome),
-) -> ControlledAccumulation {
-    let stats = AccumulatorStats {
-        num_sources: per_source.iter().flatten().count(),
-        total_visited: per_source.iter().flatten().map(|&(r, _)| r as u64).sum(),
-    };
-    ControlledAccumulation { per_source, stats, outcome }
-}
-
-/// Result of a panic-isolating accumulation ([`par_bfs_accumulate_isolated`]):
-/// per-source rows plus the set of sources whose workers panicked. Unlike
-/// [`ControlledAccumulation`], a worker panic is not fatal — the panicked
-/// source is *quarantined* (its row stays `None`, it contributed nothing to
-/// the accumulator) and every other source keeps running.
-#[derive(Clone, Debug)]
-pub struct IsolatedAccumulation {
-    /// Per source, in input order: `Some((reached, Σ d))` if the source's
-    /// BFS ran to completion, `None` if it was skipped (interruption) or
-    /// quarantined (panic). Either way the source contributed **nothing**
-    /// to the accumulator — contributions are buffered per worker and
-    /// published only after a source completes.
-    pub per_source: Vec<Option<(usize, u64)>>,
-    /// Indices into the input `sources` slice whose workers panicked, in
-    /// input order. Retry candidates for the degradation ladder.
-    pub quarantined: Vec<usize>,
-    /// Panic payloads of the quarantined sources, index-aligned with
-    /// [`IsolatedAccumulation::quarantined`].
-    pub panic_details: Vec<String>,
-    /// Statistics over the *completed* sources only.
-    pub stats: AccumulatorStats,
-    /// Whether the run completed or was interrupted (and why). Quarantined
-    /// sources do **not** mark the run interrupted — the caller decides
-    /// whether to retry them or degrade.
-    pub outcome: RunOutcome,
-}
-
-/// Panic-isolating variant of [`par_bfs_accumulate_ctl`]: a worker panic
-/// quarantines just that source instead of poisoning the whole run, and
-/// per-vertex contributions are buffered privately and published into `acc`
-/// only after the source's BFS completes. `acc` therefore never holds a
-/// torn contribution and a quarantined source can be retried safely; since
-/// `u64` additions commute, a fault-free run publishes bit-identical sums
-/// to the eager path.
-///
-/// Runs source-parallel with the configured serial kernel — the quarantine
-/// protocol needs per-source isolation, which the frontier-parallel engine
-/// (whole pool per source) cannot give. When the batched MS-BFS engine
-/// applies (see [`KernelConfig::msbfs_applies`]) the *batch* becomes the
-/// isolation unit instead: a panic quarantines every source of its batch,
-/// and the whole batch is the retry candidate.
-pub fn par_bfs_accumulate_isolated(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    acc: &mut [u64],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-) -> IsolatedAccumulation {
-    par_bfs_accumulate_isolated_rec(g, sources, acc, ctl, cfg, &NullRecorder)
-}
-
-/// [`par_bfs_accumulate_isolated`] with a telemetry [`Recorder`]: each
-/// quarantined source is recorded as an isolated panic, completed sources
-/// charge the usual per-source counters.
-pub fn par_bfs_accumulate_isolated_rec<R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    acc: &mut [u64],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-    rec: &R,
-) -> IsolatedAccumulation {
-    assert!(acc.len() >= g.num_nodes(), "accumulator too small");
-    if rec.enabled() {
-        rec.add(Counter::BfsSourcesPlanned, sources.len() as u64);
-    }
-    let (rows, mut panics, outcome) = timed(rec, "bfs.batch", || {
-        if cfg.msbfs_applies(sources.len(), rayon::current_num_threads()) {
-            msbfs_isolated_rows(g, sources, ctl, acc, rec)
-        } else {
-            match cfg.kernel {
-                Kernel::TopDown => isolated_rows::<Bfs, R>(g, sources, ctl, cfg, acc, rec),
-                Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => {
-                    isolated_rows::<HybridBfs, R>(g, sources, ctl, cfg, acc, rec)
-                }
-            }
-        }
-    });
-    record_rows(rec, g, &rows);
-    // Parallel workers push panics in completion order; sort back to input
-    // order so retries are deterministic.
-    panics.sort_by_key(|a| a.0);
-    let stats = AccumulatorStats {
-        num_sources: rows.iter().flatten().count(),
-        total_visited: rows.iter().flatten().map(|&(r, _)| r as u64).sum(),
-    };
-    IsolatedAccumulation {
-        per_source: rows,
-        quarantined: panics.iter().map(|&(i, _)| i).collect(),
-        panic_details: panics.into_iter().map(|(_, d)| d).collect(),
-        stats,
-        outcome,
-    }
-}
-
-/// The buffered-publish worker loop behind [`par_bfs_accumulate_isolated`].
-#[allow(clippy::type_complexity)]
-fn isolated_rows<K: SerialBfsKernel, R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-    acc: &mut [u64],
-    rec: &R,
-) -> (Vec<Option<(usize, u64)>>, Vec<(usize, String)>, RunOutcome) {
-    if rec.enabled() {
-        rec.incr(match cfg.kernel {
-            Kernel::TopDown => Counter::BatchesTopdown,
-            Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => Counter::BatchesHybrid,
-        });
-    }
-    let atomic_acc = atomic_view(acc);
-    let stop = StopCell::new();
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let indexed: Vec<(usize, NodeId)> = sources.iter().copied().enumerate().collect();
-    let rows: Vec<Option<(usize, u64)>> = indexed
-        .par_iter()
-        .map_init(
-            || {
-                let mut bfs = K::for_config(g.num_nodes(), cfg);
-                bfs.set_level_recording(rec.enabled());
-                (bfs, Vec::<(NodeId, Dist)>::new())
-            },
-            |(bfs, buf), &(i, s)| {
-                if let Some(cause) = ctl.should_stop() {
-                    stop.record(cause);
-                    return None;
-                }
-                buf.clear();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    apply_worker_fault(ctl, FaultSite::BfsSource, s);
-                    let start = if rec.enabled() { Some(Instant::now()) } else { None };
-                    let out = bfs.run_with_visit(g, s, |v, d| {
-                        if d > 0 {
-                            buf.push((v, d));
-                        }
-                    });
-                    if let Some(start) = start {
-                        let end = Instant::now();
-                        rec.observe(
-                            Metric::SourceBfsNanos,
-                            end.duration_since(start).as_nanos() as u64,
-                        );
-                        if rec.trace_enabled() {
-                            rec.trace_span("bfs.source", start, end);
-                        }
-                        record_traversal_stats(rec, bfs.last_stats());
-                        for &n_f in bfs.level_sizes() {
-                            rec.observe(Metric::FrontierSize, n_f);
-                        }
-                    }
-                    out
-                }));
-                match result {
-                    Ok(out) => {
-                        // Publish only after the whole BFS succeeded: a
-                        // panicked source leaves no trace in `acc`.
-                        for &(v, d) in buf.iter() {
-                            atomic_acc[v as usize].fetch_add(u64::from(d), Ordering::Relaxed);
-                        }
-                        Some(out)
-                    }
-                    Err(payload) => {
-                        let detail = panic_message(payload.as_ref());
-                        record_panic(rec, &detail);
-                        panics.lock().unwrap().push((i, detail));
-                        None
-                    }
-                }
-            },
-        )
-        .collect();
-    (rows, panics.into_inner().unwrap(), stop.outcome())
-}
-
-/// Source-parallel driver, generic over the serial kernel. When `acc` is
-/// given, every visited vertex's distance is added into it atomically
-/// (excluding the source itself at distance 0).
-fn source_parallel_rows<K: SerialBfsKernel, R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-    acc: Option<&mut [u64]>,
-    rec: &R,
-) -> Result<ControlledRows<(usize, u64)>, WorkerPanic> {
-    if rec.enabled() {
-        rec.incr(match cfg.kernel {
-            Kernel::TopDown => Counter::BatchesTopdown,
-            Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => Counter::BatchesHybrid,
-        });
-    }
-    let atomic_acc = acc.map(atomic_view);
-    let guard = WorkerGuard::new(ctl);
-    let rows: Vec<Option<(usize, u64)>> = sources
-        .par_iter()
-        .map_init(
-            || {
-                let mut bfs = K::for_config(g.num_nodes(), cfg);
-                // Per-level frontier sizes feed the report's histogram;
-                // the log is only maintained when someone will read it.
-                bfs.set_level_recording(rec.enabled());
-                bfs
-            },
-            |bfs, &s| {
-                guard.run_source(s, || {
-                    let start = if rec.enabled() { Some(Instant::now()) } else { None };
-                    let out = match atomic_acc {
-                        Some(atomic_acc) => bfs.run_with_visit(g, s, |v, d| {
-                            if d > 0 {
-                                atomic_acc[v as usize].fetch_add(d as u64, Ordering::Relaxed);
-                            }
-                        }),
-                        None => bfs.run_with_visit(g, s, |_, _| {}),
-                    };
-                    if let Some(start) = start {
-                        let end = Instant::now();
-                        rec.observe(
-                            Metric::SourceBfsNanos,
-                            end.duration_since(start).as_nanos() as u64,
-                        );
-                        if rec.trace_enabled() {
-                            rec.trace_span("bfs.source", start, end);
-                        }
-                        record_traversal_stats(rec, bfs.last_stats());
-                        for &n_f in bfs.level_sizes() {
-                            rec.observe(Metric::FrontierSize, n_f);
-                        }
-                    }
-                    out
-                })
-            },
-        )
-        .collect();
-    let outcome = guard.finish()?;
-    Ok((rows, outcome))
-}
-
 /// Publishes one kernel traversal's heuristic stats into the recorder.
 fn record_traversal_stats<R: Recorder>(rec: &R, st: super::hybrid::TraversalStats) {
     rec.add(Counter::FrontierLevels, st.levels);
@@ -594,367 +535,11 @@ fn record_traversal_stats<R: Recorder>(rec: &R, st: super::hybrid::TraversalStat
     rec.max(Counter::PeakFrontier, st.peak_frontier);
 }
 
-/// Frontier-parallel driver: sources run serially, each traversal using the
-/// whole pool. Contributions are published into `acc` only after a source's
-/// traversal completes, so an interruption (checked per level inside
-/// [`ParFrontierBfs::run_ctl`]) leaves `acc` holding exactly the completed
-/// sources — the same contract as the source-parallel path.
-fn frontier_parallel_rows<R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-    mut acc: Option<&mut [u64]>,
-    rec: &R,
-) -> Result<ControlledRows<(usize, u64)>, WorkerPanic> {
-    if rec.enabled() {
-        rec.incr(Counter::BatchesFrontierParallel);
-    }
-    let n = g.num_nodes();
-    let mut engine = ParFrontierBfs::with_params(n, cfg.params);
-    let mut rows: Vec<Option<(usize, u64)>> = Vec::with_capacity(sources.len());
-    let mut stopped: Option<RunOutcome> = None;
-    for &s in sources {
-        if stopped.is_some() {
-            rows.push(None);
-            continue;
-        }
-        let start = if rec.enabled() { Some(Instant::now()) } else { None };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            apply_worker_fault(ctl, FaultSite::BfsSource, s);
-            engine.run_ctl_rec(g, s, ctl, rec)
-        }));
-        match result {
-            Err(payload) => {
-                return Err(WorkerPanic { detail: panic_message(payload.as_ref()) });
-            }
-            Ok(Err(cause)) => {
-                stopped = Some(cause);
-                rows.push(None);
-            }
-            Ok(Ok((reached, sum))) => {
-                if let Some(acc) = acc.as_deref_mut() {
-                    for (v, &d) in engine.distances()[..n].iter().enumerate() {
-                        if d > 0 && d != INFINITE_DIST {
-                            acc[v] += d as u64;
-                        }
-                    }
-                }
-                if let Some(start) = start {
-                    let end = Instant::now();
-                    rec.observe(
-                        Metric::SourceBfsNanos,
-                        end.duration_since(start).as_nanos() as u64,
-                    );
-                    if rec.trace_enabled() {
-                        rec.trace_span("bfs.source", start, end);
-                    }
-                    record_traversal_stats(rec, engine.last_stats());
-                }
-                rows.push(Some((reached, sum)));
-            }
-        }
-    }
-    Ok((rows, stopped.unwrap_or(RunOutcome::Complete)))
-}
-
-/// Outcome of one MS-BFS batch inside the batched drivers.
-enum MsBatchOut {
-    /// The batch ran to completion; per-source `(reached, Σ d)` rows.
-    Rows(Vec<(usize, u64)>),
-    /// The batch was skipped (stop observed) or interrupted mid-sweep. The
-    /// cause, if any, was already recorded in the shared [`StopCell`].
-    Skipped,
-    /// A worker fault unwound inside the batch.
-    Panicked(String),
-}
-
-/// Runs one MS-BFS batch under `catch_unwind`, publishing its buffered
-/// accumulator contributions only on success. Shared by the poisoning
-/// ([`msbfs_rows`]) and quarantining ([`msbfs_isolated_rows`]) drivers.
-///
-/// Fault protocol: the batch-granular [`FaultSite::BfsBatch`] arm fires on
-/// the batch ordinal, then the per-source [`FaultSite::BfsSource`] arm is
-/// applied for every member at batch pickup — so plans targeting individual
-/// sources keep firing under batching (the blast radius just widens to the
-/// batch, which the retry machinery re-feeds as a whole).
-#[allow(clippy::too_many_arguments)]
-fn run_msbfs_batch<R: Recorder>(
-    g: &CsrGraph,
-    ctl: &RunControl,
-    stop: &StopCell,
-    atomic_acc: Option<&[AtomicU64]>,
-    par_sweep: bool,
-    rec: &R,
-    ms: &mut MsBfs,
-    buf: &mut Vec<(NodeId, u64)>,
-    bi: usize,
-    batch: &[NodeId],
-) -> MsBatchOut {
-    if let Some(cause) = ctl.should_stop() {
-        stop.record(cause);
-        return MsBatchOut::Skipped;
-    }
-    buf.clear();
-    if rec.enabled() {
-        rec.incr(Counter::BatchesMsbfs);
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        apply_worker_fault(ctl, FaultSite::BfsBatch, bi as NodeId);
-        for &s in batch {
-            apply_worker_fault(ctl, FaultSite::BfsSource, s);
-        }
-        ms.run_batch_ctl_rec(g, batch, ctl, par_sweep, rec, |v, bits, d| {
-            if d > 0 {
-                // One vertex may be discovered by several sources at the
-                // same level; fold their contributions into one add.
-                buf.push((v, u64::from(d) * u64::from(bits.count_ones())));
-            }
-        })
-    }));
-    match result {
-        Ok(Ok(rows)) => {
-            // Publish only after the whole batch succeeded: an interrupted
-            // or panicked batch leaves no trace in `acc`.
-            if let Some(acc) = atomic_acc {
-                for &(v, add) in buf.iter() {
-                    acc[v as usize].fetch_add(add, Ordering::Relaxed);
-                }
-            }
-            if rec.enabled() {
-                record_traversal_stats(rec, ms.last_stats());
-            }
-            MsBatchOut::Rows(rows)
-        }
-        Ok(Err(cause)) => {
-            stop.record(cause);
-            MsBatchOut::Skipped
-        }
-        Err(payload) => MsBatchOut::Panicked(panic_message(payload.as_ref())),
-    }
-}
-
-/// Batched MS-BFS driver (poisoning flavour): sources run in batches of up
-/// to [`MSBFS_BATCH`], each batch traversed bit-parallel by [`MsBfs`].
-///
-/// Parallelism splits on batch count, mirroring the source- vs
-/// frontier-parallel tradeoff: enough batches to occupy the pool → batches
-/// run in parallel with serial sweeps (`map_init` scratch, like
-/// [`source_parallel_rows`]); few batches → they run sequentially and each
-/// sweep spreads across the pool. OR-accumulation commutes, so both
-/// placements produce bit-identical rows and accumulator sums.
-fn msbfs_rows<R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    acc: Option<&mut [u64]>,
-    rec: &R,
-) -> Result<ControlledRows<(usize, u64)>, WorkerPanic> {
-    let n = g.num_nodes();
-    let atomic_acc = acc.map(atomic_view);
-    let threads = rayon::current_num_threads();
-    let batches: Vec<(usize, &[NodeId])> = sources.chunks(MSBFS_BATCH).enumerate().collect();
-    let par_sweep = threads > 1 && batches.len() < threads;
-    let stop = StopCell::new();
-    let poisoned = AtomicBool::new(false);
-    let panic_detail: Mutex<Option<String>> = Mutex::new(None);
-
-    let run_one = |ms: &mut MsBfs, buf: &mut Vec<(NodeId, u64)>, bi: usize, batch: &[NodeId]| {
-        if poisoned.load(Ordering::Relaxed) {
-            return MsBatchOut::Skipped;
-        }
-        match run_msbfs_batch(g, ctl, &stop, atomic_acc, par_sweep, rec, ms, buf, bi, batch) {
-            MsBatchOut::Panicked(detail) => {
-                poisoned.store(true, Ordering::Relaxed);
-                panic_detail.lock().unwrap().get_or_insert(detail);
-                MsBatchOut::Skipped
-            }
-            out => out,
-        }
-    };
-    let results: Vec<MsBatchOut> = if par_sweep {
-        let mut ms = MsBfs::new(n);
-        let mut buf = Vec::new();
-        batches.iter().map(|&(bi, batch)| run_one(&mut ms, &mut buf, bi, batch)).collect()
-    } else {
-        batches
-            .par_iter()
-            .map_init(
-                || (MsBfs::new(n), Vec::new()),
-                |(ms, buf), &(bi, batch)| run_one(ms, buf, bi, batch),
-            )
-            .collect()
-    };
-    if poisoned.load(Ordering::Relaxed) {
-        let detail = panic_detail
-            .lock()
-            .unwrap()
-            .take()
-            .unwrap_or_else(|| "unknown panic".to_string());
-        return Err(WorkerPanic { detail });
-    }
-    let mut rows: Vec<Option<(usize, u64)>> = Vec::with_capacity(sources.len());
-    for (out, &(_, batch)) in results.into_iter().zip(&batches) {
-        match out {
-            MsBatchOut::Rows(rs) => rows.extend(rs.into_iter().map(Some)),
-            _ => rows.extend(std::iter::repeat(None).take(batch.len())),
-        }
-    }
-    Ok((rows, stop.outcome()))
-}
-
-/// Batched MS-BFS driver (quarantining flavour): like [`msbfs_rows`], but a
-/// panicked batch quarantines all of its sources instead of poisoning the
-/// run — publish-after-complete means they contributed nothing, so the
-/// degradation ladder can retry them as a fresh subset.
-#[allow(clippy::type_complexity)]
-fn msbfs_isolated_rows<R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    acc: &mut [u64],
-    rec: &R,
-) -> (Vec<Option<(usize, u64)>>, Vec<(usize, String)>, RunOutcome) {
-    let n = g.num_nodes();
-    let atomic_acc = Some(atomic_view(acc));
-    let threads = rayon::current_num_threads();
-    let batches: Vec<(usize, &[NodeId])> = sources.chunks(MSBFS_BATCH).enumerate().collect();
-    let par_sweep = threads > 1 && batches.len() < threads;
-    let stop = StopCell::new();
-
-    let run_one = |ms: &mut MsBfs, buf: &mut Vec<(NodeId, u64)>, bi: usize, batch: &[NodeId]| {
-        let out = run_msbfs_batch(g, ctl, &stop, atomic_acc, par_sweep, rec, ms, buf, bi, batch);
-        if let MsBatchOut::Panicked(detail) = &out {
-            record_panic(rec, detail);
-        }
-        out
-    };
-    let results: Vec<MsBatchOut> = if par_sweep {
-        let mut ms = MsBfs::new(n);
-        let mut buf = Vec::new();
-        batches.iter().map(|&(bi, batch)| run_one(&mut ms, &mut buf, bi, batch)).collect()
-    } else {
-        batches
-            .par_iter()
-            .map_init(
-                || (MsBfs::new(n), Vec::new()),
-                |(ms, buf), &(bi, batch)| run_one(ms, buf, bi, batch),
-            )
-            .collect()
-    };
-    let mut rows: Vec<Option<(usize, u64)>> = Vec::with_capacity(sources.len());
-    let mut panics: Vec<(usize, String)> = Vec::new();
-    let mut first = 0usize;
-    for (out, &(_, batch)) in results.into_iter().zip(&batches) {
-        match out {
-            MsBatchOut::Rows(rs) => rows.extend(rs.into_iter().map(Some)),
-            MsBatchOut::Skipped => rows.extend(std::iter::repeat(None).take(batch.len())),
-            MsBatchOut::Panicked(detail) => {
-                // Quarantine the whole batch: none of its sources
-                // published, and the retry machinery re-feeds them together.
-                for i in first..first + batch.len() {
-                    panics.push((i, detail.clone()));
-                }
-                rows.extend(std::iter::repeat(None).take(batch.len()));
-            }
-        }
-        first += batch.len();
-    }
-    (rows, panics, stop.outcome())
-}
-
-/// Runs one BFS per source in parallel, returning the full distance array of
-/// each (row order matches `sources`).
-///
-/// `O(n·k)` memory — intended for block-local use where `n` is a block size,
-/// or for tests and oracles.
-pub fn par_bfs_from_sources(g: &CsrGraph, sources: &[NodeId]) -> Vec<Vec<Dist>> {
-    let (rows, _) = par_bfs_from_sources_ctl(g, sources, &RunControl::new())
-        .unwrap_or_else(|p| panic!("BFS worker panicked: {}", p.detail));
-    rows.into_iter().map(Option::unwrap).collect()
-}
-
-/// Per-source results of a controlled run: `None` marks a skipped source.
-/// Paired with the [`RunOutcome`] describing why (if) the run stopped early.
-pub type ControlledRows<T> = (Vec<Option<T>>, RunOutcome);
-
-/// One BFS per source under control, returning only `(reached, Σ d)` per
-/// source — no shared accumulator, no distance rows. This is the kernel of
-/// exact farness, where every vertex is its own source and only the
-/// per-source sum matters.
-pub fn par_bfs_sums_ctl(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-) -> Result<ControlledRows<(usize, u64)>, WorkerPanic> {
-    par_bfs_sums_ctl_with(g, sources, ctl, &KernelConfig::default())
-}
-
-/// [`par_bfs_sums_ctl`] with an explicit kernel choice; same scheduling
-/// rule as [`par_bfs_accumulate_ctl_with`].
-pub fn par_bfs_sums_ctl_with(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-) -> Result<ControlledRows<(usize, u64)>, WorkerPanic> {
-    par_bfs_sums_ctl_rec(g, sources, ctl, cfg, &NullRecorder)
-}
-
-/// [`par_bfs_sums_ctl_with`] with a telemetry [`Recorder`]; same
-/// observe-only contract as [`par_bfs_accumulate_ctl_rec`].
-pub fn par_bfs_sums_ctl_rec<R: Recorder>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-    cfg: &KernelConfig,
-    rec: &R,
-) -> Result<ControlledRows<(usize, u64)>, WorkerPanic> {
-    if rec.enabled() {
-        rec.add(Counter::BfsSourcesPlanned, sources.len() as u64);
-    }
-    let rows = timed(rec, "bfs.batch", || {
-        let threads = rayon::current_num_threads();
-        if cfg.msbfs_applies(sources.len(), threads) {
-            msbfs_rows(g, sources, ctl, None, rec)
-        } else if cfg.frontier_parallel_applies(sources.len(), g.num_arcs(), threads) {
-            frontier_parallel_rows(g, sources, ctl, cfg, None, rec)
-        } else {
-            match cfg.kernel {
-                Kernel::TopDown => source_parallel_rows::<Bfs, R>(g, sources, ctl, cfg, None, rec),
-                Kernel::Auto | Kernel::Hybrid | Kernel::MsBfs => {
-                    source_parallel_rows::<HybridBfs, R>(g, sources, ctl, cfg, None, rec)
-                }
-            }
-        }
-    })?;
-    record_rows(rec, g, &rows.0);
-    Ok(rows)
-}
-
-/// Controlled variant of [`par_bfs_from_sources`]: rows of interrupted
-/// sources come back as `None`; worker panics surface as `Err`.
-pub fn par_bfs_from_sources_ctl(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    ctl: &RunControl,
-) -> Result<ControlledRows<Vec<Dist>>, WorkerPanic> {
-    let guard = WorkerGuard::new(ctl);
-    let rows: Vec<Option<Vec<Dist>>> = sources
-        .par_iter()
-        .map_init(
-            || Bfs::new(g.num_nodes()),
-            |bfs, &s| guard.run_source(s, || bfs.run(g, s)[..g.num_nodes()].to_vec()),
-        )
-        .collect();
-    let outcome = guard.finish()?;
-    Ok((rows, outcome))
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // parallel arrays indexed by vertex id
 mod tests {
     use super::*;
+    use crate::telemetry::{NullRecorder, RunRecorder};
     use crate::traversal::bfs_distances;
     use crate::GraphBuilder;
 
@@ -977,24 +562,47 @@ mod tests {
         b.build()
     }
 
+    /// An accumulating sweep that ends on a worker panic.
+    fn accumulate(
+        g: &CsrGraph,
+        sources: &[NodeId],
+        acc: &mut [u64],
+        ctl: &RunControl,
+        cfg: &KernelConfig,
+    ) -> Result<Sweep, WorkerPanic> {
+        par_bfs_sweep(g, sources, Some(acc), ctl, cfg, OnPanic::Fail, &NullRecorder)
+    }
+
+    /// Σ_s d(s, v) for every vertex, from one plain BFS per source.
+    fn serial_sums(g: &CsrGraph, sources: &[NodeId]) -> Vec<u64> {
+        (0..g.num_nodes())
+            .map(|v| sources.iter().map(|&s| u64::from(bfs_distances(g, s)[v])).sum())
+            .collect()
+    }
+
+    /// Runs `f` inside a pool that reports `threads` workers, so both
+    /// MS-BFS placements are reachable on any machine.
+    fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
     #[test]
     fn accumulate_matches_serial_sum() {
         let g = grid3x3();
         let sources: Vec<NodeId> = vec![0, 4, 8];
         let mut acc = vec![0u64; 9];
-        let (per_source, stats) = par_bfs_accumulate(&g, &sources, &mut acc);
-
-        for v in 0..9 {
-            let expect: u64 = sources
-                .iter()
-                .map(|&s| bfs_distances(&g, s)[v] as u64)
-                .sum();
-            assert_eq!(acc[v], expect, "vertex {v}");
-        }
-        assert_eq!(stats.num_sources, 3);
-        assert_eq!(stats.total_visited, 27);
+        let run = accumulate(&g, &sources, &mut acc, &RunControl::new(), &KernelConfig::default())
+            .unwrap();
+        assert_eq!(acc, serial_sums(&g, &sources));
+        assert_eq!(run.outcome, RunOutcome::Complete);
+        assert!(run.quarantined.is_empty());
+        assert!(run.per_source.iter().all(|r| r.is_some_and(|(reached, _)| reached == 9)));
         // Per-source farness of the centre of a 3x3 grid is 1*4 + 2*4 = 12.
-        assert_eq!(per_source[1], (9, 12));
+        assert_eq!(run.per_source[1], Some((9, 12)));
     }
 
     #[test]
@@ -1002,53 +610,51 @@ mod tests {
         let g = grid3x3();
         let sources: Vec<NodeId> = (0..9).collect();
         let mut acc = vec![0u64; 9];
-        let (per_source, _) = par_bfs_accumulate(&g, &sources, &mut acc);
+        let run = accumulate(&g, &sources, &mut acc, &RunControl::new(), &KernelConfig::default())
+            .unwrap();
         // With every vertex as a source, acc[v] == farness(v) == per-source sum.
         for v in 0..9 {
-            assert_eq!(acc[v], per_source[v].1);
+            assert_eq!(Some(acc[v]), run.per_source[v].map(|(_, sum)| sum));
         }
-    }
-
-    #[test]
-    fn distance_matrix_matches_serial() {
-        let g = grid3x3();
-        let sources: Vec<NodeId> = vec![2, 6];
-        let rows = par_bfs_from_sources(&g, &sources);
-        assert_eq!(rows[0], bfs_distances(&g, 2));
-        assert_eq!(rows[1], bfs_distances(&g, 6));
     }
 
     #[test]
     fn empty_sources() {
         let g = grid3x3();
         let mut acc = vec![0u64; 9];
-        let (rows, stats) = par_bfs_accumulate(&g, &[], &mut acc);
-        assert!(rows.is_empty());
-        assert_eq!(stats.total_visited, 0);
-        assert!(acc.iter().all(|&x| x == 0));
+        for kernel in [Kernel::Auto, Kernel::MsBfs] {
+            let run = accumulate(&g, &[], &mut acc, &RunControl::new(), &KernelConfig::new(kernel))
+                .unwrap();
+            assert!(run.per_source.is_empty());
+            assert!(acc.iter().all(|&x| x == 0));
+        }
     }
 
     #[test]
     fn accumulator_is_additive_across_calls() {
         let g = grid3x3();
+        let (ctl, cfg) = (RunControl::new(), KernelConfig::default());
         let mut acc = vec![0u64; 9];
-        par_bfs_accumulate(&g, &[0], &mut acc);
-        par_bfs_accumulate(&g, &[8], &mut acc);
+        accumulate(&g, &[0], &mut acc, &ctl, &cfg).unwrap();
+        accumulate(&g, &[8], &mut acc, &ctl, &cfg).unwrap();
         let mut expect = vec![0u64; 9];
-        par_bfs_accumulate(&g, &[0, 8], &mut expect);
+        accumulate(&g, &[0, 8], &mut expect, &ctl, &cfg).unwrap();
         assert_eq!(acc, expect);
     }
 
     #[test]
     fn ctl_unbounded_matches_uncontrolled() {
+        // An unbounded control completes every source with the rows a
+        // plain BFS per source gives.
         let g = grid3x3();
         let sources: Vec<NodeId> = vec![0, 4, 8];
         let mut acc = vec![0u64; 9];
-        let run = par_bfs_accumulate_ctl(&g, &sources, &mut acc, &RunControl::new()).unwrap();
+        let run = accumulate(&g, &sources, &mut acc, &RunControl::new(), &KernelConfig::default())
+            .unwrap();
         assert_eq!(run.outcome, RunOutcome::Complete);
-        assert_eq!(run.stats.num_sources, 3);
-        assert_eq!(run.per_source[1], Some((9, 12)));
-        assert!(run.per_source.iter().all(Option::is_some));
+        let want: Vec<_> =
+            sources.iter().map(|&s| Some((9, serial_sums(&g, &[s]).iter().sum()))).collect();
+        assert_eq!(run.per_source, want);
     }
 
     #[test]
@@ -1057,10 +663,8 @@ mod tests {
         let sources: Vec<NodeId> = (0..9).collect();
         let mut acc = vec![0u64; 9];
         let ctl = RunControl::new().with_timeout(std::time::Duration::ZERO);
-        let run = par_bfs_accumulate_ctl(&g, &sources, &mut acc, &ctl).unwrap();
+        let run = accumulate(&g, &sources, &mut acc, &ctl, &KernelConfig::default()).unwrap();
         assert_eq!(run.outcome, RunOutcome::Deadline);
-        assert_eq!(run.stats.num_sources, 0);
-        assert_eq!(run.stats.total_visited, 0);
         assert!(run.per_source.iter().all(Option::is_none));
         assert!(acc.iter().all(|&x| x == 0), "skipped sources must not touch acc");
     }
@@ -1072,31 +676,27 @@ mod tests {
         ctl.cancel_token().cancel();
         let mut acc = vec![0u64; 9];
         let sources: Vec<NodeId> = (0..9).collect();
-        let run = par_bfs_accumulate_ctl(&g, &sources, &mut acc, &ctl).unwrap();
+        let run = accumulate(&g, &sources, &mut acc, &ctl, &KernelConfig::default()).unwrap();
         assert_eq!(run.outcome, RunOutcome::Cancelled);
-        assert_eq!(run.stats.num_sources, 0);
+        assert!(run.per_source.iter().all(Option::is_none));
         assert!(acc.iter().all(|&x| x == 0));
     }
 
     #[test]
     fn ctl_partial_acc_holds_only_completed_sources() {
-        // Cancel from within a BFS callback: already-started sources finish,
-        // later sources are skipped, and acc equals the serial sum over
-        // exactly the completed (Some) sources.
+        // Completed sweeps stay in acc; a cancelled one adds nothing, so
+        // acc equals the serial sum over exactly the completed sources.
         let g = grid3x3();
         let sources: Vec<NodeId> = (0..9).collect();
-        let ctl2 = RunControl::new();
+        let (ctl, cfg) = (RunControl::new(), KernelConfig::default());
         let mut acc = vec![0u64; 9];
-        let first = par_bfs_accumulate_ctl(&g, &sources[..4], &mut acc, &ctl2).unwrap();
+        let first = accumulate(&g, &sources[..4], &mut acc, &ctl, &cfg).unwrap();
         assert_eq!(first.outcome, RunOutcome::Complete);
-        ctl2.cancel_token().cancel();
-        let second = par_bfs_accumulate_ctl(&g, &sources[4..], &mut acc, &ctl2).unwrap();
+        ctl.cancel_token().cancel();
+        let second = accumulate(&g, &sources[4..], &mut acc, &ctl, &cfg).unwrap();
         assert_eq!(second.outcome, RunOutcome::Cancelled);
-        assert_eq!(second.stats.num_sources, 0);
-
-        let mut expect = vec![0u64; 9];
-        par_bfs_accumulate(&g, &sources[..4], &mut expect);
-        assert_eq!(acc, expect);
+        assert!(second.per_source.iter().all(Option::is_none));
+        assert_eq!(acc, serial_sums(&g, &sources[..4]));
     }
 
     #[test]
@@ -1105,40 +705,29 @@ mod tests {
         let sources: Vec<NodeId> = (0..9).collect();
         let mut acc = vec![0u64; 9];
         let ctl = RunControl::new().with_injected_panic(4);
-        let err = par_bfs_accumulate_ctl(&g, &sources, &mut acc, &ctl).unwrap_err();
+        let err = accumulate(&g, &sources, &mut acc, &ctl, &KernelConfig::default()).unwrap_err();
         assert!(err.detail.contains("injected worker panic"), "got: {}", err.detail);
         assert!(err.detail.contains("source 4"), "got: {}", err.detail);
     }
 
     #[test]
-    fn ctl_from_sources_deadline_and_panic() {
+    fn serial_quarantine_publishes_nothing_for_the_panicked_source() {
         let g = grid3x3();
-        let sources: Vec<NodeId> = vec![2, 6];
-
-        let ctl = RunControl::new().with_timeout(std::time::Duration::ZERO);
-        let (rows, outcome) = par_bfs_from_sources_ctl(&g, &sources, &ctl).unwrap();
-        assert_eq!(outcome, RunOutcome::Deadline);
-        assert!(rows.iter().all(Option::is_none));
-
-        let ctl = RunControl::new().with_injected_panic(6);
-        let err = par_bfs_from_sources_ctl(&g, &sources, &ctl).unwrap_err();
-        assert!(err.detail.contains("source 6"));
-
-        let (rows, outcome) =
-            par_bfs_from_sources_ctl(&g, &sources, &RunControl::new()).unwrap();
-        assert_eq!(outcome, RunOutcome::Complete);
-        assert_eq!(rows[0].as_deref().unwrap(), &bfs_distances(&g, 2)[..]);
-        assert_eq!(rows[1].as_deref().unwrap(), &bfs_distances(&g, 6)[..]);
-    }
-
-    /// Runs `f` inside a pool that reports `threads` workers, so the
-    /// scheduler's frontier-parallel branch is reachable on any machine.
-    fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(f)
+        let sources: Vec<NodeId> = vec![0, 4, 8];
+        let cfg = KernelConfig::new(Kernel::Hybrid);
+        let ctl = RunControl::new().with_injected_panic(4);
+        let rec = RunRecorder::new();
+        let mut acc = vec![0u64; 9];
+        let run = par_bfs_sweep(&g, &sources, Some(&mut acc), &ctl, &cfg, OnPanic::Quarantine, &rec)
+            .unwrap();
+        assert_eq!(run.quarantined, vec![1]);
+        assert_eq!(run.per_source[1], None);
+        assert!(run.outcome.is_complete());
+        assert_eq!(acc, serial_sums(&g, &[0, 8]), "only completed sources publish");
+        assert_eq!(rec.counter(Counter::PanicsIsolated), 1);
+        // Retrying the quarantined source lands exactly the full sums.
+        accumulate(&g, &[4], &mut acc, &RunControl::new(), &cfg).unwrap();
+        assert_eq!(acc, serial_sums(&g, &sources));
     }
 
     #[test]
@@ -1175,90 +764,57 @@ mod tests {
     }
 
     #[test]
-    fn kernel_variants_match_topdown_accumulation() {
-        let g = grid3x3();
-        let sources: Vec<NodeId> = vec![0, 4, 8];
-        let mut expect = vec![0u64; 9];
-        let td = KernelConfig::new(Kernel::TopDown);
-        par_bfs_accumulate_ctl_with(&g, &sources, &mut expect, &RunControl::new(), &td).unwrap();
-        for kernel in [Kernel::Auto, Kernel::Hybrid, Kernel::MsBfs] {
-            let mut acc = vec![0u64; 9];
-            let cfg = KernelConfig::new(kernel);
-            let run =
-                par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &RunControl::new(), &cfg)
-                    .unwrap();
-            assert_eq!(acc, expect, "kernel {:?}", kernel);
-            assert_eq!(run.stats.num_sources, 3);
-        }
-    }
-
-    // The frontier-parallel tests below call the driver directly: the test
-    // graph sits far under FRONTIER_PARALLEL_MIN_ARCS, so the scheduler
-    // (correctly) no longer routes it there — the selection rule itself is
-    // pinned in hybrid.rs.
-    #[test]
     fn frontier_parallel_path_matches_source_parallel() {
+        // The bench-only frontier-parallel kernel, driven source by source
+        // in a 4-thread pool, agrees with the sweep's rows and sums.
         let g = grid3x3();
         let sources: Vec<NodeId> = vec![4, 7];
         let mut expect = vec![0u64; 9];
-        let (per_expect, _) = par_bfs_accumulate(&g, &sources, &mut expect);
-        let cfg = KernelConfig::default();
+        let ctl = RunControl::new();
+        let base = accumulate(&g, &sources, &mut expect, &ctl, &KernelConfig::default()).unwrap();
         in_pool(4, || {
+            let mut engine = crate::traversal::ParFrontierBfs::new(9);
             let mut acc = vec![0u64; 9];
-            let (rows, outcome) = frontier_parallel_rows(
-                &g,
-                &sources,
-                &RunControl::new(),
-                &cfg,
-                Some(&mut acc),
-                &NullRecorder,
-            )
-            .unwrap();
+            for (&s, row) in sources.iter().zip(&base.per_source) {
+                assert_eq!(Some(engine.run(&g, s)), *row, "source {s}");
+                for (sum, &d) in acc.iter_mut().zip(&engine.distances()[..9]) {
+                    *sum += u64::from(d);
+                }
+            }
             assert_eq!(acc, expect);
-            let want: Vec<_> = per_expect.iter().map(|&p| Some(p)).collect();
-            assert_eq!(rows, want);
-            assert_eq!(outcome, RunOutcome::Complete);
         });
     }
 
     #[test]
-    fn frontier_parallel_expired_deadline_leaves_acc_untouched() {
-        in_pool(4, || {
-            let g = grid3x3();
+    fn msbfs_dense_publish_through_atomic_view_is_sound() {
+        // 130 sources → 3 batches ≥ 2 threads, so two workers run batches
+        // concurrently, each publishing its dense array into the shared
+        // atomic view; named to match CI's Miri filter.
+        let g = grid3x3();
+        let sources: Vec<NodeId> = (0..130u32).map(|i| i % 9).collect();
+        in_pool(2, || {
             let mut acc = vec![0u64; 9];
-            let ctl = RunControl::new().with_timeout(std::time::Duration::ZERO);
-            let (rows, outcome) = frontier_parallel_rows(
-                &g,
-                &[0, 8],
-                &ctl,
-                &KernelConfig::default(),
-                Some(&mut acc),
-                &NullRecorder,
-            )
-            .unwrap();
-            assert_eq!(outcome, RunOutcome::Deadline);
-            assert!(rows.iter().all(Option::is_none));
-            assert!(acc.iter().all(|&x| x == 0), "interrupted run must not touch acc");
+            let cfg = KernelConfig::new(Kernel::MsBfs);
+            let run = accumulate(&g, &sources, &mut acc, &RunControl::new(), &cfg).unwrap();
+            assert_eq!(acc, serial_sums(&g, &sources));
+            assert!(run.per_source.iter().all(Option::is_some));
         });
     }
 
     #[test]
-    fn frontier_parallel_injected_panic_is_captured() {
-        in_pool(4, || {
-            let g = grid3x3();
-            let ctl = RunControl::new().with_injected_panic(8);
+    fn kernel_variants_match_topdown_accumulation() {
+        let g = grid3x3();
+        let sources: Vec<NodeId> = vec![0, 4, 8];
+        let ctl = RunControl::new();
+        let mut expect = vec![0u64; 9];
+        let td = KernelConfig::new(Kernel::TopDown);
+        let base = accumulate(&g, &sources, &mut expect, &ctl, &td).unwrap();
+        for kernel in [Kernel::Auto, Kernel::Hybrid, Kernel::MsBfs] {
             let mut acc = vec![0u64; 9];
-            let err = frontier_parallel_rows(
-                &g,
-                &[0, 8],
-                &ctl,
-                &KernelConfig::default(),
-                Some(&mut acc),
-                &NullRecorder,
-            )
-            .unwrap_err();
-            assert!(err.detail.contains("source 8"), "got: {}", err.detail);
-        });
+            let run = accumulate(&g, &sources, &mut acc, &ctl, &KernelConfig::new(kernel)).unwrap();
+            assert_eq!(acc, expect, "kernel {kernel:?}");
+            assert_eq!(run.per_source, base.per_source, "kernel {kernel:?}");
+        }
     }
 
     #[test]
@@ -1266,42 +822,69 @@ mod tests {
         let g = grid3x3();
         let sources: Vec<NodeId> = (0..9).collect();
         let mut expect = vec![0u64; 9];
-        let (per_expect, _) = par_bfs_accumulate(&g, &sources, &mut expect);
-        let want: Vec<_> = per_expect.iter().map(|&p| Some(p)).collect();
+        let ctl = RunControl::new();
+        let base = accumulate(&g, &sources, &mut expect, &ctl, &KernelConfig::default()).unwrap();
         let cfg = KernelConfig::new(Kernel::MsBfs);
         // 1 thread → parallel batches (degenerate) with serial sweeps;
         // 4 threads, one batch → sequential batches with parallel sweeps.
         for threads in [1, 4] {
             in_pool(threads, || {
                 let mut acc = vec![0u64; 9];
-                let run =
-                    par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &RunControl::new(), &cfg)
-                        .unwrap();
+                let run = accumulate(&g, &sources, &mut acc, &RunControl::new(), &cfg).unwrap();
                 assert_eq!(acc, expect, "{threads} threads");
-                assert_eq!(run.per_source, want, "{threads} threads");
+                assert_eq!(run.per_source, base.per_source, "{threads} threads");
                 assert_eq!(run.outcome, RunOutcome::Complete);
             });
         }
     }
 
     #[test]
+    fn msbfs_expired_deadline_leaves_acc_untouched() {
+        let g = grid3x3();
+        let sources: Vec<NodeId> = (0..9).collect();
+        let mut acc = vec![0u64; 9];
+        let ctl = RunControl::new().with_timeout(std::time::Duration::ZERO);
+        let cfg = KernelConfig::new(Kernel::MsBfs);
+        let run = accumulate(&g, &sources, &mut acc, &ctl, &cfg).unwrap();
+        assert_eq!(run.outcome, RunOutcome::Deadline);
+        assert!(run.per_source.iter().all(Option::is_none));
+        assert!(acc.iter().all(|&x| x == 0), "interrupted batch must not touch acc");
+    }
+
+    #[test]
+    fn msbfs_injected_panic_poisons_the_run() {
+        let g = grid3x3();
+        let sources: Vec<NodeId> = (0..9).collect();
+        let ctl = RunControl::new().with_injected_panic(4);
+        let cfg = KernelConfig::new(Kernel::MsBfs);
+        let mut acc = vec![0u64; 9];
+        let err = accumulate(&g, &sources, &mut acc, &ctl, &cfg).unwrap_err();
+        assert!(err.detail.contains("source 4"), "got: {}", err.detail);
+    }
+
+    #[test]
     fn msbfs_auto_selection_batches_many_sources() {
-        use crate::telemetry::RunRecorder;
         let g = grid3x3();
         // 130 sources (with repeats) → 3 batches: 64 + 64 + 2 (ragged).
         let sources: Vec<NodeId> = (0..130u32).map(|i| i % 9).collect();
-        let mut expect = vec![0u64; 9];
-        let (per_expect, _) = par_bfs_accumulate(&g, &sources, &mut expect);
         in_pool(4, || {
             let cfg = KernelConfig::default();
             assert!(cfg.msbfs_applies(sources.len(), rayon::current_num_threads()));
             let rec = RunRecorder::new();
             let mut acc = vec![0u64; 9];
-            let run =
-                par_bfs_accumulate_ctl_rec(&g, &sources, &mut acc, &RunControl::new(), &cfg, &rec)
-                    .unwrap();
-            assert_eq!(acc, expect);
-            let want: Vec<_> = per_expect.iter().map(|&p| Some(p)).collect();
+            let run = par_bfs_sweep(
+                &g,
+                &sources,
+                Some(&mut acc),
+                &RunControl::new(),
+                &cfg,
+                OnPanic::Fail,
+                &rec,
+            )
+            .unwrap();
+            assert_eq!(acc, serial_sums(&g, &sources));
+            let want: Vec<_> =
+                sources.iter().map(|&s| Some((9, serial_sums(&g, &[s]).iter().sum()))).collect();
             assert_eq!(run.per_source, want);
             assert_eq!(rec.counter(Counter::BatchesMsbfs), 3);
             assert_eq!(rec.counter(Counter::BfsSources), 130);
@@ -1314,70 +897,53 @@ mod tests {
     }
 
     #[test]
-    fn msbfs_expired_deadline_leaves_acc_untouched() {
-        let g = grid3x3();
-        let sources: Vec<NodeId> = (0..9).collect();
-        let mut acc = vec![0u64; 9];
-        let ctl = RunControl::new().with_timeout(std::time::Duration::ZERO);
-        let cfg = KernelConfig::new(Kernel::MsBfs);
-        let run = par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &ctl, &cfg).unwrap();
-        assert_eq!(run.outcome, RunOutcome::Deadline);
-        assert!(run.per_source.iter().all(Option::is_none));
-        assert_eq!(run.stats.num_sources, 0);
-        assert!(acc.iter().all(|&x| x == 0), "interrupted batch must not touch acc");
-    }
-
-    #[test]
-    fn msbfs_injected_panic_poisons_the_run() {
-        let g = grid3x3();
-        let sources: Vec<NodeId> = (0..9).collect();
-        let ctl = RunControl::new().with_injected_panic(4);
-        let cfg = KernelConfig::new(Kernel::MsBfs);
-        let mut acc = vec![0u64; 9];
-        let err = par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &ctl, &cfg).unwrap_err();
-        assert!(err.detail.contains("source 4"), "got: {}", err.detail);
-    }
-
-    #[test]
     fn msbfs_isolated_quarantines_the_whole_batch() {
         let g = grid3x3();
         let sources: Vec<NodeId> = (0..9).collect();
         let ctl = RunControl::new().with_injected_panic(4);
         let cfg = KernelConfig::new(Kernel::MsBfs);
+        let rec = RunRecorder::new();
         let mut acc = vec![0u64; 9];
-        let run = par_bfs_accumulate_isolated(&g, &sources, &mut acc, &ctl, &cfg);
+        let run = par_bfs_sweep(&g, &sources, Some(&mut acc), &ctl, &cfg, OnPanic::Quarantine, &rec)
+            .unwrap();
         // One batch holds every source, so the panic quarantines all of them
         // and none published into the accumulator.
         assert_eq!(run.quarantined, (0..9).collect::<Vec<_>>());
         assert!(run.per_source.iter().all(Option::is_none));
         assert!(run.outcome.is_complete());
         assert!(acc.iter().all(|&x| x == 0), "quarantined batch must not touch acc");
-        assert!(run.panic_details[0].contains("source 4"));
+        assert_eq!(rec.counter(Counter::PanicsIsolated), 1, "one panic per batch");
 
         // Retrying the quarantined batch without the fault lands exactly
-        // the sums the eager path would have published.
-        let retry = par_bfs_accumulate_isolated(&g, &sources, &mut acc, &RunControl::new(), &cfg);
+        // the sums a fault-free sweep publishes.
+        let retry = par_bfs_sweep(
+            &g,
+            &sources,
+            Some(&mut acc),
+            &RunControl::new(),
+            &cfg,
+            OnPanic::Quarantine,
+            &NullRecorder,
+        )
+        .unwrap();
         assert!(retry.quarantined.is_empty());
-        let mut expect = vec![0u64; 9];
-        par_bfs_accumulate(&g, &sources, &mut expect);
-        assert_eq!(acc, expect);
+        assert_eq!(acc, serial_sums(&g, &sources));
     }
 
     #[test]
     fn recorded_run_reconciles_counters_and_preserves_results() {
-        use crate::telemetry::RunRecorder;
         let g = grid3x3();
         let sources: Vec<NodeId> = vec![0, 4, 8];
+        let cfg = KernelConfig::default();
 
         let mut plain = vec![0u64; 9];
-        let base = par_bfs_accumulate_ctl(&g, &sources, &mut plain, &RunControl::new()).unwrap();
+        let base = accumulate(&g, &sources, &mut plain, &RunControl::new(), &cfg).unwrap();
 
         let rec = RunRecorder::new();
         let mut acc = vec![0u64; 9];
-        let cfg = KernelConfig::default();
-        let run =
-            par_bfs_accumulate_ctl_rec(&g, &sources, &mut acc, &RunControl::new(), &cfg, &rec)
-                .unwrap();
+        let ctl = RunControl::new();
+        let run = par_bfs_sweep(&g, &sources, Some(&mut acc), &ctl, &cfg, OnPanic::Fail, &rec)
+            .unwrap();
         assert_eq!(acc, plain, "recorder must not change the accumulator");
         assert_eq!(run.per_source, base.per_source);
 
@@ -1386,10 +952,7 @@ mod tests {
         assert_eq!(rec.counter(Counter::BfsSourcesPlanned), 3);
         assert_eq!(rec.counter(Counter::VerticesVisited), 27);
         assert_eq!(rec.counter(Counter::EdgesScanned), 3 * g.num_arcs() as u64);
-        assert_eq!(
-            rec.counter(Counter::BatchesHybrid) + rec.counter(Counter::BatchesFrontierParallel),
-            1
-        );
+        assert_eq!(rec.counter(Counter::BatchesHybrid), 1);
         assert!(rec.counter(Counter::FrontierLevels) > 0);
         // One per-source time observation per completed source; frontier
         // sizes cover every expanded level.
@@ -1410,7 +973,7 @@ mod tests {
         let rec = RunRecorder::new();
         let ctl = RunControl::new().with_timeout(std::time::Duration::ZERO);
         let mut acc = vec![0u64; 9];
-        par_bfs_accumulate_ctl_rec(&g, &sources, &mut acc, &ctl, &cfg, &rec).unwrap();
+        par_bfs_sweep(&g, &sources, Some(&mut acc), &ctl, &cfg, OnPanic::Fail, &rec).unwrap();
         assert_eq!(rec.counter(Counter::BfsSources), 0);
         assert_eq!(rec.counter(Counter::BfsSourcesSkipped), 3);
         assert_eq!(rec.counter(Counter::BfsSourcesPlanned), 3);
@@ -1420,17 +983,17 @@ mod tests {
 
     #[test]
     fn traced_batch_nests_sources_within_batch() {
-        use crate::telemetry::RunRecorder;
         let g = grid3x3();
         let sources: Vec<NodeId> = vec![0, 4, 8];
         let rec = RunRecorder::with_trace();
         let mut acc = vec![0u64; 9];
-        par_bfs_accumulate_ctl_rec(
+        par_bfs_sweep(
             &g,
             &sources,
-            &mut acc,
+            Some(&mut acc),
             &RunControl::new(),
             &KernelConfig::default(),
+            OnPanic::Fail,
             &rec,
         )
         .unwrap();
@@ -1451,31 +1014,16 @@ mod tests {
     fn sums_agree_across_kernels() {
         let g = grid3x3();
         let sources: Vec<NodeId> = (0..9).collect();
-        let (expect, _) = par_bfs_sums_ctl(&g, &sources, &RunControl::new()).unwrap();
-        for cfg in [
-            KernelConfig::new(Kernel::TopDown),
-            KernelConfig::new(Kernel::Hybrid),
-            KernelConfig::new(Kernel::MsBfs),
-        ] {
-            let (rows, outcome) =
-                par_bfs_sums_ctl_with(&g, &sources, &RunControl::new(), &cfg).unwrap();
-            assert_eq!(rows, expect);
-            assert!(outcome.is_complete());
+        let ctl = RunControl::new();
+        let sums = |cfg: KernelConfig| {
+            par_bfs_sweep(&g, &sources, None, &ctl, &cfg, OnPanic::Fail, &NullRecorder).unwrap()
+        };
+        let expect = sums(KernelConfig::default());
+        assert!(expect.outcome.is_complete());
+        for kernel in [Kernel::TopDown, Kernel::Hybrid, Kernel::MsBfs] {
+            let run = sums(KernelConfig::new(kernel));
+            assert_eq!(run.per_source, expect.per_source, "kernel {kernel:?}");
+            assert!(run.outcome.is_complete());
         }
-        // Frontier-parallel engine (driver called directly: the grid is far
-        // below the scheduler's arcs floor).
-        in_pool(4, || {
-            let (rows, outcome) = frontier_parallel_rows(
-                &g,
-                &sources[..1],
-                &RunControl::new(),
-                &KernelConfig::default(),
-                None,
-                &NullRecorder,
-            )
-            .unwrap();
-            assert_eq!(rows[0], expect[0]);
-            assert!(outcome.is_complete());
-        });
     }
 }

@@ -5,12 +5,24 @@ use brics_graph::generators::{
     barabasi_albert, gnm_random_connected, rmat, ClassParams, GraphClass,
 };
 use brics_graph::io::{read_edge_list_from, read_mtx_from, write_edge_list_to, write_mtx_to};
+use brics_graph::telemetry::NullRecorder;
 use brics_graph::traversal::{
-    bfs_distances, par_bfs_accumulate_ctl_with, DialBfs, HybridBfs, HybridParams, Kernel,
-    KernelConfig, ParFrontierBfs,
+    bfs_distances, par_bfs_sweep, DialBfs, HybridBfs, HybridParams, Kernel, KernelConfig,
+    OnPanic, ParFrontierBfs, Sweep, WorkerPanic,
 };
-use brics_graph::{GraphBuilder, NodeId, RunControl, RunOutcome, INFINITE_DIST};
+use brics_graph::{CsrGraph, GraphBuilder, NodeId, RunControl, RunOutcome, INFINITE_DIST};
 use proptest::prelude::*;
+
+/// One accumulating BFS sweep that fails on a worker panic.
+fn accumulate(
+    g: &CsrGraph,
+    sources: &[NodeId],
+    acc: &mut [u64],
+    ctl: &RunControl,
+    cfg: &KernelConfig,
+) -> Result<Sweep, WorkerPanic> {
+    par_bfs_sweep(g, sources, Some(acc), ctl, cfg, OnPanic::Fail, &NullRecorder)
+}
 
 /// Arbitrary edge soup over up to 30 vertices — may contain self-loops,
 /// duplicates and both orientations.
@@ -97,29 +109,27 @@ proptest! {
         }
     }
 
-    /// Farness accumulation is bit-identical across every kernel config
-    /// and both scheduler paths (source-parallel and, inside a 4-thread
-    /// pool with fewer sources than threads, frontier-parallel).
+    /// Farness accumulation is bit-identical across every kernel config,
+    /// on one thread and inside a 4-thread pool with fewer sources than
+    /// threads.
     #[test]
     fn accumulation_invariant_across_kernels(n in 10usize..60, seed in any::<u64>()) {
         let g = gnm_random_connected(n, 2 * n, seed);
         let sources = [0 as NodeId, (n / 2) as NodeId];
         let mut baseline = vec![0u64; n];
-        par_bfs_accumulate_ctl_with(
+        accumulate(
             &g, &sources, &mut baseline, &RunControl::new(),
             &KernelConfig::new(Kernel::TopDown),
         ).unwrap();
         for kernel in [Kernel::Auto, Kernel::Hybrid, Kernel::MsBfs] {
             let cfg = KernelConfig::new(kernel);
             let mut acc = vec![0u64; n];
-            par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &RunControl::new(), &cfg)
-                .unwrap();
+            accumulate(&g, &sources, &mut acc, &RunControl::new(), &cfg).unwrap();
             prop_assert_eq!(&acc, &baseline);
             let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
             let mut acc = vec![0u64; n];
-            pool.install(|| {
-                par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &RunControl::new(), &cfg)
-            }).unwrap();
+            pool.install(|| accumulate(&g, &sources, &mut acc, &RunControl::new(), &cfg))
+                .unwrap();
             prop_assert_eq!(&acc, &baseline);
         }
     }
@@ -139,7 +149,7 @@ proptest! {
         let sources: Vec<NodeId> =
             (0..k).map(|i| ((seed as usize + i * 7) % n) as NodeId).collect();
         let mut baseline = vec![0u64; n];
-        let base = par_bfs_accumulate_ctl_with(
+        let base = accumulate(
             &g, &sources, &mut baseline, &RunControl::new(),
             &KernelConfig::new(Kernel::TopDown),
         ).unwrap();
@@ -149,7 +159,7 @@ proptest! {
                 rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let mut acc = vec![0u64; n];
             let run = pool.install(|| {
-                par_bfs_accumulate_ctl_with(&g, &sources, &mut acc, &RunControl::new(), &cfg)
+                accumulate(&g, &sources, &mut acc, &RunControl::new(), &cfg)
             }).unwrap();
             prop_assert_eq!(&acc, &baseline);
             prop_assert_eq!(&run.per_source, &base.per_source);
@@ -158,7 +168,7 @@ proptest! {
 
     /// An already-expired deadline leaves the accumulator untouched and
     /// reports every source as skipped — the same partial-soundness
-    /// contract for every kernel and both scheduler paths.
+    /// contract for every kernel on one thread and on four.
     #[test]
     fn expired_deadline_sound_across_kernels(n in 10usize..50, seed in any::<u64>()) {
         let g = gnm_random_connected(n, 2 * n, seed);
@@ -170,9 +180,7 @@ proptest! {
                     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
                 let mut acc = vec![0u64; n];
                 let run = pool.install(|| {
-                    par_bfs_accumulate_ctl_with(
-                        &g, &sources, &mut acc, &ctl, &KernelConfig::new(kernel),
-                    )
+                    accumulate(&g, &sources, &mut acc, &ctl, &KernelConfig::new(kernel))
                 }).unwrap();
                 prop_assert_eq!(run.outcome, RunOutcome::Deadline);
                 prop_assert!(run.per_source.iter().all(Option::is_none));

@@ -11,43 +11,58 @@
 //! * live-growth policing trips [`RunOutcome::MemoryLimit`] once a
 //!   budgeted admission has armed the baseline.
 //!
-//! Tests that assert on process-global live/peak figures serialize on
-//! [`MEM_LOCK`] so one test's transient allocations don't inflate another's
-//! observed span peaks.
+//! Every test holds [`MEM_LOCK`] (see [`mem_lock`]) so one test's
+//! transient allocations don't inflate another's observed span peaks, and
+//! the span measurements reset the process high-watermark first, so each
+//! one is exact whatever ran before it.
 
 mod common;
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use brics::{BricsEstimator, ExecutionContext, MemoryPlan, Method, RunRecorder, SampleSize};
+use brics::{
+    ExecutionContext, MemoryPlan, Method, PrepareConfig, PreparedGraph, RunRecorder, SampleSize,
+};
 use brics_graph::generators::{ClassParams, GraphClass};
 use brics_graph::telemetry::memory;
-use brics_graph::{RunControl, RunOutcome};
+use brics_graph::{CsrGraph, RunControl, RunOutcome};
 
 #[global_allocator]
 static ALLOC: brics_graph::telemetry::TrackingAllocator =
     brics_graph::telemetry::TrackingAllocator;
 
-/// Serializes tests whose assertions read the process-global ledger.
+/// Serializes the tests of this binary: they read the process-global
+/// ledger.
 static MEM_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEM_LOCK`]. A test that failed while holding it leaves the
+/// lock poisoned; the guarded `()` cannot be torn, so the others go on.
+fn mem_lock() -> MutexGuard<'static, ()> {
+    MEM_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn tracking_allocator_reports_live_and_peak() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = mem_lock();
     assert!(memory::tracking_active(), "global allocator not registered");
-    let before = memory::live_bytes();
+    // The allocated/freed totals only ever grow, so their deltas see this
+    // test's block whatever other threads allocate or free meanwhile.
+    let before = memory::stats();
     let block = vec![0u8; 1 << 20];
-    let during = memory::live_bytes();
+    let during = memory::stats();
+    let live = memory::live_bytes();
     assert!(
-        during >= before + (1 << 20),
-        "1 MiB allocation invisible to the ledger: {before} -> {during}"
+        during.allocated_bytes - before.allocated_bytes >= 1 << 20,
+        "1 MiB allocation invisible to the ledger: {} -> {}",
+        before.allocated_bytes,
+        during.allocated_bytes
     );
-    assert!(memory::peak_bytes() >= during, "peak below live");
+    assert!(memory::peak_bytes() >= live, "peak below live");
     drop(block);
-    assert!(memory::live_bytes() < during, "free not debited");
-    let stats = memory::stats();
-    assert!(stats.allocations > 0);
-    assert_eq!(stats.live_bytes(), stats.allocated_bytes - stats.freed_bytes);
+    let after = memory::stats();
+    assert!(after.freed_bytes - during.freed_bytes >= 1 << 20, "free not debited");
+    assert!(after.allocations > 0);
+    assert_eq!(after.live_bytes(), after.allocated_bytes - after.freed_bytes);
 }
 
 /// The other half of this pin lives in `telemetry_invariance` (no
@@ -55,6 +70,7 @@ fn tracking_allocator_reports_live_and_peak() {
 /// the tracker provably does not perturb results.
 #[test]
 fn results_are_bit_identical_with_tracker_installed() {
+    let _guard = mem_lock();
     assert_eq!(
         common::reference_fingerprint(),
         common::REFERENCE_FINGERPRINT,
@@ -62,12 +78,27 @@ fn results_are_bit_identical_with_tracker_installed() {
     );
 }
 
+/// Builds the prepare stage `method` queries, untraced, then lowers the
+/// process high-watermark: every span the caller records next raises it,
+/// so its heap peak is measured exactly.
+fn prepare_then_reset_peak(g: &CsrGraph, method: Method) -> PreparedGraph<'_> {
+    let cfg = PrepareConfig {
+        reductions: method.reductions(),
+        use_bcc: method.uses_bcc(),
+        reorder: false,
+    };
+    let p = PreparedGraph::build_with(g, cfg, &ExecutionContext::new()).unwrap();
+    memory::reset_peak();
+    p
+}
+
 #[test]
 fn planned_bytes_bound_observed_span_peaks() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = mem_lock();
     let g = GraphClass::Social.generate(ClassParams::new(700, 13));
     let ctx_probe = ExecutionContext::new();
     let plan = MemoryPlan::compute(g.num_nodes(), ctx_probe.thread_count());
+    let sample = SampleSize::Fraction(0.4);
     let cases = [
         (Method::RandomSampling, plan.accumulate_bytes),
         (Method::CR, plan.accumulate_bytes),
@@ -75,11 +106,15 @@ fn planned_bytes_bound_observed_span_peaks() {
         (Method::Cumulative, plan.cumulative_bytes),
     ];
     for (method, planned) in cases {
+        let p = prepare_then_reset_peak(&g, method);
         let rec = RunRecorder::new();
         let ctx = ExecutionContext::new().with_recorder(&rec);
-        let est =
-            BricsEstimator::new(method).sample(SampleSize::Fraction(0.4)).seed(19);
-        est.run_in(&g, &ctx).unwrap();
+        match method {
+            Method::RandomSampling => p.sample(sample, 19, &ctx).map(drop),
+            Method::Cumulative => p.cumulative(sample, 19, &ctx).map(drop),
+            _ => p.reduced(sample, 19, &ctx).map(drop),
+        }
+        .unwrap();
         let mut report = rec.report();
         report.stamp_planned_bytes(planned);
         let mem = &report.memory;
@@ -100,6 +135,7 @@ fn planned_bytes_bound_observed_span_peaks() {
     }
 
     // Exact sweeps and top-k verification go through their own planners.
+    memory::reset_peak();
     let rec = RunRecorder::new();
     let ctx = ExecutionContext::new().with_recorder(&rec);
     brics::exact_farness_in(&g, &ctx).unwrap();
@@ -112,12 +148,10 @@ fn planned_bytes_bound_observed_span_peaks() {
         plan.exact_bytes
     );
 
+    let p = prepare_then_reset_peak(&g, Method::Cumulative);
     let rec = RunRecorder::new();
     let ctx = ExecutionContext::new().with_recorder(&rec);
-    let est = BricsEstimator::new(Method::Cumulative)
-        .sample(SampleSize::Fraction(0.4))
-        .seed(19);
-    brics::topk::top_k_closeness_in(&g, 10, &est, &ctx).unwrap();
+    p.topk(10, sample, 19, &ctx).unwrap();
     let mut report = rec.report();
     report.stamp_planned_bytes(plan.cumulative_bytes);
     assert!(
@@ -130,11 +164,11 @@ fn planned_bytes_bound_observed_span_peaks() {
 
 #[test]
 fn report_memory_block_is_populated_and_consistent() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = mem_lock();
     let g = GraphClass::Web.generate(ClassParams::new(500, 5));
     let rec = RunRecorder::new();
     let ctx = ExecutionContext::new().with_recorder(&rec);
-    BricsEstimator::new(Method::Cumulative)
+    brics::BricsEstimator::new(Method::Cumulative)
         .sample(SampleSize::Fraction(0.3))
         .seed(2)
         .run_in(&g, &ctx)
@@ -165,7 +199,7 @@ fn report_memory_block_is_populated_and_consistent() {
 
 #[test]
 fn live_growth_past_budget_trips_memory_limit() {
-    let _guard = MEM_LOCK.lock().unwrap();
+    let _guard = mem_lock();
     let ctl = RunControl::new().with_memory_budget_mb(1);
     // Budget configured but baseline not yet armed: growth is not policed.
     assert_eq!(ctl.should_stop(), None);
