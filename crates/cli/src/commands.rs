@@ -1,23 +1,32 @@
 //! Subcommand implementations.
+//!
+//! Every command except `help` and `report` runs inside one [`Scope`]:
+//! the flags all commands share are parsed once, the command reads its
+//! input and queries through the scope's one [`ExecutionContext`], and
+//! the run report is written however the command returns.
 
 use crate::args::{parse, Parsed};
 use crate::error::CliError;
 use brics::{
-    run_degraded, ArtifactInfo, CentralityError, DegradationPolicy, DegradedRequest,
-    ExecutionContext, Kernel, KernelConfig, MemoryPlan, Method, PrepareConfig,
+    run_degraded, ArtifactInfo, CentralityError, DegradationPolicy, DegradedEstimate,
+    DegradedRequest, ExecutionContext, KernelConfig, MemoryPlan, Method, PrepareConfig,
     PreparedGraph, ProgressConfig, ProgressMeter, RunControl, RunOutcome, RunRecorder,
     SampleSize,
 };
 use brics_bicc::biconnected_components;
-use brics_graph::telemetry::{timed, ArtifactProvenance, Counter, FaultSiteRecord, Recorder};
-use brics_graph::{FaultKind, FaultPlan, FaultSite};
 use brics_graph::connectivity::{is_connected, make_connected};
 use brics_graph::degree::degree_stats;
 use brics_graph::generators::{ClassParams, GraphClass};
 use brics_graph::io::{read_edge_list, read_metis, read_mtx, write_edge_list, write_metis, write_mtx};
-use brics_graph::CsrGraph;
+use brics_graph::telemetry::{
+    timed, ArtifactProvenance, Counter, FaultSiteRecord, Recorder, ReportEvent,
+};
+use brics_graph::{CsrGraph, FaultKind, FaultPlan, FaultSite};
 use brics_reduce::{reduce_ctl_rec, ReductionConfig};
+use std::cell::{Cell, RefCell};
 use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
 
 const HELP: &str = "\
 brics — farness/closeness centrality estimation (BRICS reproduction)
@@ -174,7 +183,8 @@ TELEMETRY (every command):
                      allocator, planned vs observed-peak plan accuracy)
                      and execution events (deadline hits, cancellations,
                      memory overruns, isolated panics). PATH `-` prints
-                     the report to stdout. Interrupted runs still report.
+                     the report to stdout. Every exit reports; a non-zero
+                     one appends an `exit` event (code and message).
                      (v2 reports had no `memory` block or per-span heap
                      fields; v1 additionally lacked `histograms` and
                      rated `mteps` against whole-run time — now reported
@@ -205,63 +215,455 @@ Graph files: SNAP edge lists (default), MatrixMarket (.mtx), or METIS
 (paper §IV-B); pass --giant to keep only the largest component instead.
 ";
 
+/// A subcommand: runs inside the [`Scope`] that [`dispatch`] opened.
+type Command = fn(&Scope<'_>) -> Result<(), CliError>;
+
 /// Entry point used by `main` (and by the CLI's integration tests).
 pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     let parsed = parse(argv).map_err(CliError::Usage)?;
-    match parsed.positional.first().map(String::as_str) {
-        Some("stats") => stats(&parsed),
-        Some("prepare") => prepare(&parsed),
-        Some("farness") => farness(&parsed),
-        Some("compare") => compare(&parsed),
-        Some("topk") => topk(&parsed),
-        Some("betweenness") => betweenness(&parsed),
-        Some("generate") => generate(&parsed),
-        Some("report") => crate::report::report(&parsed),
-        Some("help") | None => {
-            print!("{HELP}");
-            Ok(())
+    // Every command takes `--timeout`, `--fault` and the telemetry flags.
+    // The third column names the other shared flags it takes; a command
+    // ignores the ones it does not take.
+    const LIMITS: &[&str] = &["max-mem-mb"];
+    const KERNEL: &[&str] = &["max-mem-mb", "kernel"];
+    const LADDER: &[&str] = &["max-mem-mb", "kernel", "degrade"];
+    let (command, synopsis, takes): (Command, &str, &[&str]) =
+        match parsed.positional.first().map(String::as_str) {
+            Some("stats") => (stats, "stats <graph>", &[]),
+            Some("prepare") => (prepare, "prepare <graph> <artifact> [options]", KERNEL),
+            Some("farness") => (farness, "farness <graph> [options]", LADDER),
+            Some("compare") => (compare, "compare <graph> [options]", LADDER),
+            Some("topk") => (topk, "topk <graph> <k> [options]", KERNEL),
+            Some("betweenness") => (betweenness, "betweenness <graph> [options]", LIMITS),
+            Some("generate") => (generate, "generate <class> <nodes> [options]", &[]),
+            Some("report") => return crate::report::report(&parsed),
+            Some("help") | None => {
+                print!("{HELP}");
+                return Ok(());
+            }
+            Some(other) => {
+                return Err(CliError::Usage(format!(
+                    "unknown command '{other}' (try `brics help`)"
+                )))
+            }
+        };
+    run_scoped(&parsed, synopsis, takes, command)
+}
+
+/// Runs `command` inside a [`Scope`] and writes the run report exactly
+/// once, whether the command returns `Ok` or `Err`. Only a malformed
+/// telemetry flag ends the run without a report: there is nowhere to
+/// write one.
+fn run_scoped(
+    p: &Parsed,
+    synopsis: &str,
+    takes: &[&str],
+    command: Command,
+) -> Result<(), CliError> {
+    let telemetry = Telemetry::from_flags(p)?;
+    let rec = telemetry.as_ref().map(|t| t.rec.as_ref());
+    let mut scope = None;
+    let result = Scope::open(p, synopsis, takes, &rec, telemetry.as_ref())
+        .and_then(|opened| command(scope.insert(opened)));
+    match &telemetry {
+        // A failed run reports its own error, not a failure to write the report.
+        Some(t) => {
+            let written = t.write(scope.as_ref(), &result);
+            result.and(written)
         }
-        Some(other) => Err(CliError::Usage(format!("unknown command '{other}' (try `brics help`)"))),
+        None => result,
     }
 }
 
-fn usage(msg: &str) -> CliError {
-    CliError::Usage(msg.to_string())
+/// One command's run: the flags every command shares, parsed once; the
+/// one [`ExecutionContext`] the command runs under; and what the command
+/// learns that the run report is stamped with.
+struct Scope<'a> {
+    p: &'a Parsed,
+    /// The command's usage line, for usage errors.
+    synopsis: &'a str,
+    /// Control (`--timeout`, `--max-mem-mb`, `--fault`), `--kernel`,
+    /// `--degrade` (each where the command takes it) and the recorder.
+    /// `None` records nothing, which keeps unrecorded runs on the
+    /// library's zero-overhead path.
+    ctx: ExecutionContext<'a, Option<&'a RunRecorder>>,
+    /// The `--progress` heartbeat; stopping it prints its final line.
+    progress: Option<ProgressMeter>,
+    /// The admission figure of the widest query the command planned.
+    planned_bytes: Cell<u64>,
+    /// Degradation-ladder rungs walked, in order.
+    degradation_path: RefCell<Vec<String>>,
+    /// Identity of the prepared-graph artifact the command wrote or loaded.
+    artifact: RefCell<Option<ArtifactProvenance>>,
 }
 
-/// Builds the [`RunControl`] from `--timeout` / `--max-mem-mb`.
-fn control_from(p: &Parsed) -> Result<RunControl, CliError> {
-    let mut ctl = RunControl::new();
-    if p.has("timeout") {
-        let secs: f64 = p.get_parse("timeout", 0.0).map_err(CliError::Usage)?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(CliError::Usage(format!("--timeout {secs}: must be a finite non-negative number of seconds")));
+impl<'a> Scope<'a> {
+    /// Parses the shared flags into the context: `--timeout`, `--fault`,
+    /// and those of `--max-mem-mb`, `--kernel` and `--degrade` the command
+    /// `takes`. The control exists before any input is read, so `--timeout`
+    /// bounds the whole command: a slow parse eats into the budget and the
+    /// (uninterruptible) load is followed by an immediate deadline check
+    /// inside the engine.
+    fn open(
+        p: &'a Parsed,
+        synopsis: &'a str,
+        takes: &[&str],
+        rec: &'a Option<&'a RunRecorder>,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<Self, CliError> {
+        let given = |flag: &str| takes.contains(&flag) && p.has(flag);
+        let mut ctl = RunControl::new();
+        if p.has("timeout") {
+            let secs: f64 = p.get_parse("timeout", 0.0).map_err(CliError::Usage)?;
+            if !secs.is_finite() || secs < 0.0 {
+                return Err(CliError::Usage(format!(
+                    "--timeout {secs}: must be a finite non-negative number of seconds"
+                )));
+            }
+            ctl = ctl.with_timeout(Duration::from_secs_f64(secs));
         }
-        ctl = ctl.with_timeout(std::time::Duration::from_secs_f64(secs));
+        if given("max-mem-mb") {
+            let mb: u64 = p.get_parse("max-mem-mb", 0).map_err(CliError::Usage)?;
+            ctl = ctl.with_memory_budget_mb(mb);
+        }
+        if let Some(specs) = p.get("fault") {
+            let plan = FaultPlan::parse(specs)
+                .map_err(|e| CliError::Usage(format!("--fault {specs}: {e}")))?;
+            ctl = ctl.with_fault_plan(plan);
+        }
+        let kernel = match p.get("kernel").filter(|_| given("kernel")) {
+            None => KernelConfig::default(),
+            Some(name) => KernelConfig::new(name.parse().map_err(CliError::Usage)?),
+        };
+        let mut ctx = ExecutionContext::new().with_control(ctl).with_kernel(kernel);
+        if given("degrade") {
+            let mut policy = DegradationPolicy::default();
+            if let Some(v) = p.get("degrade").filter(|v| !v.is_empty()) {
+                policy = policy.with_fallback_rate(parse_rate("degrade", v)?);
+            }
+            ctx = ctx.with_degradation(policy);
+        }
+        let progress = telemetry.and_then(|t| {
+            t.progress.map(|cfg| ProgressMeter::start(t.rec.clone(), ctx.control().clone(), cfg))
+        });
+        Ok(Scope {
+            p,
+            synopsis,
+            ctx: ctx.with_recorder(rec),
+            progress,
+            planned_bytes: Cell::new(0),
+            degradation_path: RefCell::new(Vec::new()),
+            artifact: RefCell::new(None),
+        })
     }
-    if p.has("max-mem-mb") {
-        let mb: u64 = p.get_parse("max-mem-mb", 0).map_err(CliError::Usage)?;
-        ctl = ctl.with_memory_budget_mb(mb);
+
+    fn usage(&self) -> CliError {
+        CliError::Usage(format!("usage: brics {}", self.synopsis))
     }
-    if let Some(specs) = p.get("fault") {
-        let plan = FaultPlan::parse(specs)
-            .map_err(|e| CliError::Usage(format!("--fault {specs}: {e}")))?;
-        ctl = ctl.with_fault_plan(plan);
+
+    /// The `i`-th positional argument after the command name.
+    fn arg(&self, i: usize) -> Result<&'a str, CliError> {
+        self.p.positional.get(i + 1).map(String::as_str).ok_or_else(|| self.usage())
     }
-    Ok(ctl)
+
+    /// The `--rate` option, or `default` when absent.
+    fn rate(&self, default: f64) -> Result<f64, CliError> {
+        self.p.get("rate").map_or(Ok(default), |v| parse_rate("rate", v))
+    }
+
+    /// The `--seed` option (default 0).
+    fn seed(&self) -> Result<u64, CliError> {
+        self.p.get_parse("seed", 0).map_err(CliError::Usage)
+    }
+
+    /// Reads the graph file at `path`. The `io.read` failpoint fires
+    /// first: `io-error` and `panic` arms surface as an input error, a
+    /// `slow` arm just stalls. A disconnected graph is connected by linking
+    /// its components (paper §IV-B), or cut to the largest under `--giant`.
+    fn read(&self, path: &str) -> Result<CsrGraph, CliError> {
+        if let Some(FaultKind::IoError | FaultKind::Panic) =
+            self.ctx.control().fault_apply(FaultSite::IoRead, 0)
+        {
+            return Err(CliError::Input(format!("{path}: injected i/o error (io.read)")));
+        }
+        let read = if path.ends_with(".mtx") {
+            read_mtx(path)
+        } else if path.ends_with(".graph") || path.ends_with(".metis") {
+            read_metis(path)
+        } else {
+            read_edge_list(path)
+        };
+        let g = read.map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+        if g.num_nodes() == 0 {
+            return Err(CliError::Input(format!("{path}: empty graph")));
+        }
+        Ok(if is_connected(&g) {
+            g
+        } else if self.p.has("giant") {
+            let sub = brics_graph::connectivity::largest_component(&g);
+            eprintln!(
+                "note: input was disconnected; kept the largest component ({} of {} \
+                 vertices; ids remapped)",
+                sub.len(),
+                g.num_nodes()
+            );
+            sub.graph
+        } else {
+            let (g2, added) = make_connected(&g);
+            eprintln!(
+                "note: input was disconnected; added {added} linking edges (paper §IV-B); \
+                 pass --giant to keep only the largest component instead"
+            );
+            g2
+        })
+    }
+
+    /// Locates the command's input — the `<graph>` argument, or the
+    /// prepared artifact `--artifact FILE` names in its place — and the
+    /// `extra` positionals after it, which shift left under `--artifact`
+    /// (`topk --artifact g.brics 10`). Nothing is read yet.
+    fn locate(&self, extra: usize) -> Result<(&'a str, &'a [String]), CliError> {
+        let args = &self.p.positional[1..];
+        let (file, rest) = match self.p.get("artifact") {
+            None => match args.split_first() {
+                Some((path, rest)) => (path.as_str(), rest),
+                None => return Err(self.usage()),
+            },
+            Some("") => return Err(CliError::Usage("--artifact needs a file path".into())),
+            Some(_) if args.len() > extra => {
+                return Err(CliError::Usage(format!(
+                    "{} takes either <graph> or --artifact, not both",
+                    self.p.positional[0]
+                )))
+            }
+            Some(file) => (file, args),
+        };
+        if rest.len() < extra {
+            return Err(self.usage());
+        }
+        Ok((file, rest))
+    }
+
+    /// Reads the located input `file`: a graph now, an artifact only in
+    /// [`Scope::prepare`]. Commands parse their own flags in between, so
+    /// a graph that does not read outranks a malformed flag, and a
+    /// malformed flag outranks an artifact that does not load.
+    fn input(&self, file: &'a str) -> Result<Input<'a>, CliError> {
+        if self.p.has("artifact") {
+            Ok(Input::Artifact(file))
+        } else {
+            self.read(file).map(Input::Graph)
+        }
+    }
+
+    /// The prepare stage the `planned` queries run against: the artifact,
+    /// loaded now, or `pcfg` built from the graph. The memory plan is
+    /// stamped as soon as `n` is known, before a build, so a build that
+    /// fails still reports it. An artifact's integrity is verified up
+    /// front (a corrupt or truncated file is an input error) and its
+    /// provenance is stamped into the report. Under `--degrade` a build
+    /// that fails softly falls back to a minimal one — no reductions, no
+    /// BCT, hence no memory admission — so the ladder still has something
+    /// to run against; the second value says whether it did. Hard data
+    /// errors propagate.
+    fn prepare<'i>(
+        &self,
+        input: &'i Input<'_>,
+        pcfg: PrepareConfig,
+        planned: &[DegradedRequest],
+    ) -> Result<(PreparedGraph<'i>, bool), CentralityError> {
+        let g = match input {
+            Input::Graph(g) => g,
+            Input::Artifact(file) => {
+                let (prepared, info) = PreparedGraph::load(Path::new(file), &self.ctx)?;
+                self.note_artifact(&info);
+                eprintln!(
+                    "note: loaded prepared artifact {file} ({} bytes, checksum {:016x}, \
+                     prepared from {})",
+                    info.bytes, info.checksum, info.source
+                );
+                self.plan(prepared.original().num_nodes(), planned);
+                return Ok((prepared, false));
+            }
+        };
+        self.plan(g.num_nodes(), planned);
+        if pcfg.reorder {
+            eprintln!("note: --reorder relabelled vertices by descending degree");
+        }
+        match PreparedGraph::build_with(g, pcfg, &self.ctx) {
+            Ok(prepared) => Ok((prepared, false)),
+            Err(
+                e @ (CentralityError::EmptyGraph
+                | CentralityError::Disconnected { .. }
+                | CentralityError::NoSamples),
+            ) => Err(e),
+            Err(first) if self.ctx.degradation().is_some() => {
+                let minimal = PrepareConfig {
+                    reductions: ReductionConfig::none(),
+                    use_bcc: false,
+                    reorder: false,
+                };
+                match PreparedGraph::build_with(g, minimal, &self.ctx) {
+                    Ok(prepared) => {
+                        self.note_path(&["prepare:minimal".to_string()]);
+                        eprintln!(
+                            "note: configured prepare failed; queries run on a minimal artifact"
+                        );
+                        Ok((prepared, true))
+                    }
+                    Err(e @ CentralityError::Interrupted { .. }) => Err(e),
+                    Err(_) => Err(first),
+                }
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Stamps the memory plan for `n` vertices, so the report can rate its
+    /// observed peak against the admission figure. Queries run one after
+    /// another, so the plan is the widest of them, not their sum.
+    fn plan(&self, n: usize, requests: &[DegradedRequest]) {
+        let plan = MemoryPlan::compute(n, self.ctx.thread_count());
+        let widest = requests.iter().map(|request| match request {
+            DegradedRequest::Exact => plan.exact_bytes,
+            DegradedRequest::Estimate(m) if m.uses_bcc() => plan.cumulative_bytes,
+            DegradedRequest::Estimate(_) => plan.accumulate_bytes,
+        });
+        self.planned_bytes.set(widest.max().unwrap_or(0));
+    }
+
+    /// Records degradation-ladder rungs for the report.
+    fn note_path(&self, path: &[String]) {
+        self.degradation_path.borrow_mut().extend_from_slice(path);
+    }
+
+    fn note_artifact(&self, info: &ArtifactInfo) {
+        *self.artifact.borrow_mut() = Some(ArtifactProvenance {
+            version: info.version,
+            checksum: format!("{:016x}", info.checksum),
+            source: info.source.clone(),
+        });
+    }
 }
 
-/// Builds the [`DegradationPolicy`] from `--degrade [RATE]`, or `None`
-/// when the flag is absent.
-fn degradation_from(p: &Parsed) -> Result<Option<DegradationPolicy>, CliError> {
-    if !p.has("degrade") {
-        return Ok(None);
+/// Telemetry wiring from `--metrics <path|->`, `--metrics-summary`,
+/// `--trace <path>` and `--progress [secs]`. The recorder is only built
+/// when one of the flags is present, and the trace buffer only under
+/// `--trace` (`RunRecorder::with_trace`).
+struct Telemetry {
+    rec: Arc<RunRecorder>,
+    out: Option<String>,
+    summary: bool,
+    trace: Option<String>,
+    progress: Option<ProgressConfig>,
+}
+
+impl Telemetry {
+    fn from_flags(p: &Parsed) -> Result<Option<Self>, CliError> {
+        let out = p
+            .get("metrics")
+            .map(|v| if v.is_empty() { "-".to_string() } else { v.to_string() });
+        let summary = p.has("metrics-summary");
+        let trace = match p.get("trace") {
+            Some("") => return Err(CliError::Usage("--trace needs a file path".into())),
+            Some(path) => Some(path.to_string()),
+            None => None,
+        };
+        let progress = if p.has("progress") {
+            let mut cfg = ProgressConfig::default();
+            if let Some(secs) = positive_secs(p, "progress")? {
+                cfg.interval = secs;
+            }
+            if let Some(secs) = positive_secs(p, "stall-after")? {
+                cfg.stall_after = secs;
+            }
+            Some(cfg)
+        } else {
+            None
+        };
+        if out.is_none() && !summary && trace.is_none() && progress.is_none() {
+            return Ok(None);
+        }
+        let rec =
+            Arc::new(if trace.is_some() { RunRecorder::with_trace() } else { RunRecorder::new() });
+        Ok(Some(Telemetry { rec, out, summary, trace, progress }))
     }
-    let mut policy = DegradationPolicy::default();
-    if let Some(v) = p.get("degrade").filter(|v| !v.is_empty()) {
-        policy = policy.with_fallback_rate(parse_rate("degrade", v)?);
+
+    /// Writes the report of a run that ended with `result`: stops the
+    /// progress heartbeat (printing its final line), stamps what the scope
+    /// collected (`None` when the shared flags did not parse) and, on a
+    /// non-zero exit, one `exit` event. Then the JSON report goes to the
+    /// `--metrics` target, the Chrome trace to the `--trace` target, and
+    /// the summary table to stderr.
+    fn write(
+        &self,
+        scope: Option<&Scope<'_>>,
+        result: &Result<(), CliError>,
+    ) -> Result<(), CliError> {
+        if let Some(meter) = scope.and_then(|s| s.progress.as_ref()) {
+            meter.stop();
+        }
+        // The plan is shared with the control's copy, so its per-site
+        // counts cover the whole run.
+        let faults = scope.and_then(|s| s.ctx.control().fault_plan());
+        if let Some(plan) = faults {
+            self.rec.add(Counter::FaultsInjected, plan.total_fired());
+        }
+        let mut report = self.rec.report();
+        if let Some(plan) = faults {
+            report.faults_injected = plan
+                .site_records()
+                .iter()
+                .map(|s| FaultSiteRecord { site: s.site.to_string(), hits: s.hits, fired: s.fired })
+                .collect();
+        }
+        if let Some(s) = scope {
+            report.degradation_path = s.degradation_path.take();
+            report.artifact = s.artifact.take();
+            report.stamp_planned_bytes(s.planned_bytes.get());
+        }
+        if let Err(e) = result {
+            report.events.push(ReportEvent {
+                kind: "exit".to_string(),
+                detail: format!("exit {}: {e}", e.exit_code()),
+            });
+        }
+        if let Some(target) = &self.out {
+            let json = serde_json::to_string_pretty(&report)
+                .map_err(|e| CliError::Internal(format!("serializing run report: {e}")))?;
+            if target == "-" {
+                println!("{json}");
+            } else {
+                std::fs::write(target, json + "\n")
+                    .map_err(|e| CliError::Input(format!("{target}: {e}")))?;
+            }
+        }
+        if let Some(target) = &self.trace {
+            let dropped = self.rec.trace_dropped();
+            if dropped > 0 {
+                eprintln!("note: trace buffer filled — {dropped} spans were dropped");
+            }
+            std::fs::write(target, self.rec.chrome_trace_json() + "\n")
+                .map_err(|e| CliError::Input(format!("{target}: {e}")))?;
+        }
+        if self.summary {
+            eprint!("{}", report.summary_table());
+        }
+        Ok(())
     }
-    Ok(Some(policy))
+}
+
+/// A `--flag SECS` option that must be a positive number of seconds;
+/// `None` when absent or bare.
+fn positive_secs(p: &Parsed, flag: &str) -> Result<Option<Duration>, CliError> {
+    let Some(v) = p.get(flag).filter(|v| !v.is_empty()) else { return Ok(None) };
+    let secs: f64 = v.parse().map_err(|e| CliError::Usage(format!("--{flag} {v}: {e}")))?;
+    if !secs.is_finite() || secs <= 0.0 {
+        return Err(CliError::Usage(format!(
+            "--{flag} {secs}: must be a positive number of seconds"
+        )));
+    }
+    Ok(Some(Duration::from_secs_f64(secs)))
 }
 
 /// Parses a sampling rate, which must lie in `(0, 1]`; `flag` names the
@@ -276,231 +678,102 @@ fn parse_rate(flag: &str, v: &str) -> Result<f64, CliError> {
     }
 }
 
-/// The `--rate` option, or `default` when absent.
-fn rate_from(p: &Parsed, default: f64) -> Result<f64, CliError> {
-    p.get("rate").map_or(Ok(default), |v| parse_rate("rate", v))
+/// A command's input (see [`Scope::input`]).
+enum Input<'a> {
+    /// A graph file, read.
+    Graph(CsrGraph),
+    /// A prepared-graph artifact, loaded by [`Scope::prepare`].
+    Artifact(&'a str),
 }
 
-/// The `io.read` failpoint: checked once per graph load, before the file
-/// is touched. `io-error` and `panic` arms surface as an input error; a
-/// `slow` arm just stalls inside [`RunControl::fault_apply`].
-fn check_io_fault(ctl: &RunControl, path: &str) -> Result<(), CliError> {
-    match ctl.fault_apply(FaultSite::IoRead, 0) {
-        Some(FaultKind::IoError) | Some(FaultKind::Panic) => {
-            Err(CliError::Input(format!("{path}: injected i/o error (io.read)")))
+/// The query a `--method` name asks for.
+fn request_of(method: &str) -> Result<DegradedRequest, CliError> {
+    Ok(match method {
+        "exact" => DegradedRequest::Exact,
+        "random" => DegradedRequest::Estimate(Method::RandomSampling),
+        "cr" => DegradedRequest::Estimate(Method::CR),
+        "icr" => DegradedRequest::Estimate(Method::ICR),
+        "cumulative" => DegradedRequest::Estimate(Method::Cumulative),
+        other => return Err(CliError::Usage(format!("unknown method '{other}'"))),
+    })
+}
+
+/// The prepare stage a query needs: no reduction for the baselines, the
+/// paper's ablation configs for C+R and I+C+R, and the full reduction +
+/// Block-Cut Tree for Cumulative. `--reorder` becomes part of it: queries
+/// traverse the degree-sorted relabelling and every result is translated
+/// back, so ids in the output are always the input's ids.
+fn prepare_config(request: &DegradedRequest, reorder: bool) -> PrepareConfig {
+    match request {
+        DegradedRequest::Exact => {
+            PrepareConfig { reductions: ReductionConfig::none(), use_bcc: false, reorder }
         }
-        _ => Ok(()),
+        DegradedRequest::Estimate(m) => {
+            PrepareConfig { reductions: m.reductions(), use_bcc: m.uses_bcc(), reorder }
+        }
     }
 }
 
-/// Builds the [`KernelConfig`] from `--kernel`.
-fn kernel_from(p: &Parsed) -> Result<KernelConfig, CliError> {
-    match p.get("kernel") {
-        None => Ok(KernelConfig::default()),
-        Some(name) => {
-            let kernel: Kernel = name.parse().map_err(CliError::Usage)?;
-            Ok(KernelConfig::new(kernel))
-        }
+/// A query's answer: exact farness, or an estimate. A direct estimate is
+/// wrapped as a ladder answer with an empty path.
+enum Answer {
+    Exact(Vec<u64>),
+    Estimate(DegradedEstimate),
+}
+
+/// Answers one (method, rate) query: through the degradation ladder under
+/// `--degrade`, directly against the prepared graph otherwise.
+fn query<R: Recorder>(
+    prepared: &PreparedGraph<'_>,
+    request: &DegradedRequest,
+    rate: f64,
+    seed: u64,
+    ctx: &ExecutionContext<'_, R>,
+) -> Result<Answer, CentralityError> {
+    let sample = SampleSize::Fraction(rate);
+    if ctx.degradation().is_some() {
+        return run_degraded(prepared, request, sample, seed, ctx).map(Answer::Estimate);
     }
-}
-
-/// Telemetry wiring from `--metrics <path|->`, `--metrics-summary`,
-/// `--trace <path>` and `--progress [secs]`. The recorder is only built
-/// when one of the flags is present, so unrecorded runs keep the library's
-/// zero-overhead `NullRecorder` path (via the `Option<&RunRecorder>`
-/// recorder impl) — and the trace buffer is only allocated under `--trace`
-/// (`RunRecorder::with_trace`).
-struct Metrics {
-    rec: std::sync::Arc<RunRecorder>,
-    out: Option<String>,
-    summary: bool,
-    trace: Option<String>,
-    progress: Option<ProgressMeter>,
-    /// The armed fault plan, if any — its per-site hit/fired counters are
-    /// stamped into the report at emit time (the plan is shared with the
-    /// control's copy, so the counts reflect the whole run).
-    faults: Option<FaultPlan>,
-    /// Degradation-ladder rungs walked by the command, stamped into the
-    /// report's `degradation_path`. Interior-mutable because the commands
-    /// hold the `Metrics` immutably next to the recorder `Arc`.
-    degradation_path: std::cell::RefCell<Vec<String>>,
-    /// Identity of the prepared-graph artifact the command wrote
-    /// (`prepare`) or loaded (`--artifact`), stamped into the report's
-    /// `artifact` block at emit time.
-    artifact: std::cell::RefCell<Option<ArtifactProvenance>>,
-    /// The run's planned query-scratch bytes (the admission figure from
-    /// the [`brics::MemoryPlan`]), stamped into the report's `memory`
-    /// block at emit time for the plan-vs-actual accuracy ratio. Zero
-    /// when the command never planned (help, generate, report).
-    planned_bytes: std::cell::Cell<u64>,
-}
-
-fn metrics_from(p: &Parsed, ctl: &RunControl) -> Result<Option<Metrics>, CliError> {
-    let out = p
-        .get("metrics")
-        .map(|v| if v.is_empty() { "-".to_string() } else { v.to_string() });
-    let summary = p.has("metrics-summary");
-    let trace = match p.get("trace") {
-        Some("") => return Err(usage("--trace needs a file path")),
-        Some(path) => Some(path.to_string()),
-        None => None,
+    let DegradedRequest::Estimate(method) = request else {
+        // Exact farness is all-or-nothing: an expired --timeout comes back
+        // as `CentralityError::Interrupted` (exit 4, no output).
+        return prepared.exact(ctx).map(Answer::Exact);
     };
-    let progress = p.has("progress");
-    if out.is_none() && !summary && trace.is_none() && !progress {
-        return Ok(None);
-    }
-    let rec = std::sync::Arc::new(if trace.is_some() {
-        RunRecorder::with_trace()
-    } else {
-        RunRecorder::new()
-    });
-    let progress = progress
-        .then(|| -> Result<ProgressMeter, CliError> {
-            let mut cfg = ProgressConfig::default();
-            if let Some(v) = p.get("progress").filter(|v| !v.is_empty()) {
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--progress {v}: {e}")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(CliError::Usage(format!(
-                        "--progress {secs}: must be a positive number of seconds"
-                    )));
-                }
-                cfg.interval = std::time::Duration::from_secs_f64(secs);
-            }
-            if let Some(v) = p.get("stall-after").filter(|v| !v.is_empty()) {
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--stall-after {v}: {e}")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(CliError::Usage(format!(
-                        "--stall-after {secs}: must be a positive number of seconds"
-                    )));
-                }
-                cfg.stall_after = std::time::Duration::from_secs_f64(secs);
-            }
-            Ok(ProgressMeter::start(rec.clone(), ctl.clone(), cfg))
-        })
-        .transpose()?;
-    Ok(Some(Metrics {
-        rec,
-        out,
-        summary,
-        trace,
-        progress,
-        faults: ctl.fault_plan().cloned(),
-        degradation_path: std::cell::RefCell::new(Vec::new()),
-        artifact: std::cell::RefCell::new(None),
-        planned_bytes: std::cell::Cell::new(0),
+    let estimate = match method {
+        Method::RandomSampling => prepared.sample(sample, seed, ctx)?,
+        m if m.uses_bcc() => prepared.cumulative(sample, seed, ctx)?,
+        _ => prepared.reduced(sample, seed, ctx)?,
+    };
+    Ok(Answer::Estimate(DegradedEstimate {
+        estimate,
+        answered_by: method.name().to_string(),
+        path: Vec::new(),
+        retries: 0,
+        quarantined: 0,
+        degraded: false,
     }))
 }
 
-/// Stamps the run's planned query-scratch bytes for the report's
-/// plan-vs-actual block (no-op without telemetry). Commands that run
-/// several estimates (`compare`) keep the largest figure — the plan is a
-/// per-query envelope, not a sum.
-fn note_planned_bytes(m: &Option<Metrics>, bytes: u64) {
-    if let Some(m) = m {
-        m.planned_bytes.set(m.planned_bytes.get().max(bytes));
+/// How a command that printed its answer exits: 4 when the run was
+/// interrupted (the answer is a sound partial), 6 when it degraded (a
+/// lower ladder rung or a fallen-back prepare stage answered), 0
+/// otherwise. Interruption outranks degradation.
+fn exit_status(outcome: RunOutcome, degraded: bool) -> Result<(), CliError> {
+    if outcome.is_interrupted() {
+        Err(CliError::TimeoutPartial(format!(
+            "{} interrupted the run; the printed answer covers the completed sources only \
+             and is a sound partial result",
+            outcome_name(outcome)
+        )))
+    } else if degraded {
+        Err(CliError::Degraded(
+            "the run fell back below the requested answer (the run report's \
+             degradation_path names each step); printed values are sound lower bounds"
+                .to_string(),
+        ))
+    } else {
+        Ok(())
     }
-}
-
-/// Records the ladder walk for the run report (no-op without telemetry).
-fn note_degradation_path(m: &Option<Metrics>, path: &[String]) {
-    if let Some(m) = m {
-        m.degradation_path.borrow_mut().extend_from_slice(path);
-    }
-}
-
-/// The `--artifact FILE` flag shared by `farness`/`compare`/`topk`:
-/// queries start from a prepared-graph artifact written by `brics
-/// prepare` instead of reading and re-preparing a graph file, and FILE
-/// takes the place of the `<graph>` argument.
-fn artifact_from(p: &Parsed) -> Result<Option<String>, CliError> {
-    match p.get("artifact") {
-        Some("") => Err(usage("--artifact needs a file path")),
-        Some(f) => Ok(Some(f.to_string())),
-        None => Ok(None),
-    }
-}
-
-/// Stamps the artifact's identity into the run report (no-op without
-/// telemetry).
-fn note_artifact(m: &Option<Metrics>, info: &ArtifactInfo) {
-    if let Some(m) = m {
-        *m.artifact.borrow_mut() = Some(ArtifactProvenance {
-            version: info.version,
-            checksum: format!("{:016x}", info.checksum),
-            source: info.source.clone(),
-        });
-    }
-}
-
-/// Loads a prepared-graph artifact for a query command: integrity is
-/// verified up front (a corrupt or truncated file surfaces as
-/// [`CentralityError::Artifact`] → exit 3), provenance is stamped into
-/// the run report, and a note says where the prepared state came from.
-fn load_artifact<R: Recorder>(
-    file: &str,
-    m: &Option<Metrics>,
-    ctx: &ExecutionContext<'_, R>,
-) -> Result<PreparedGraph<'static>, CentralityError> {
-    let (prepared, info) = PreparedGraph::load(Path::new(file), ctx)?;
-    note_artifact(m, &info);
-    eprintln!(
-        "note: loaded prepared artifact {file} ({} bytes, checksum {:016x}, prepared from {})",
-        info.bytes, info.checksum, info.source
-    );
-    Ok(prepared)
-}
-
-/// Emits the collected telemetry: stops the progress heartbeat (printing
-/// its final line), writes the JSON run report to the `--metrics` target
-/// and the Chrome trace to the `--trace` target, and/or prints the summary
-/// table to stderr. Call *before* converting a partial outcome into a
-/// non-zero exit so interrupted runs still report their telemetry.
-fn emit_metrics(m: &Option<Metrics>) -> Result<(), CliError> {
-    let Some(m) = m else { return Ok(()) };
-    if let Some(meter) = &m.progress {
-        meter.stop();
-    }
-    if let Some(plan) = &m.faults {
-        m.rec.add(Counter::FaultsInjected, plan.total_fired());
-    }
-    let mut report = m.rec.report();
-    if let Some(plan) = &m.faults {
-        report.faults_injected = plan
-            .site_records()
-            .iter()
-            .map(|s| FaultSiteRecord { site: s.site.to_string(), hits: s.hits, fired: s.fired })
-            .collect();
-    }
-    report.degradation_path = m.degradation_path.borrow().clone();
-    report.artifact = m.artifact.borrow().clone();
-    report.stamp_planned_bytes(m.planned_bytes.get());
-    if let Some(target) = &m.out {
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| CliError::Internal(format!("serializing run report: {e}")))?;
-        if target == "-" {
-            println!("{json}");
-        } else {
-            std::fs::write(target, json + "
-")
-                .map_err(|e| CliError::Input(format!("{target}: {e}")))?;
-        }
-    }
-    if let Some(target) = &m.trace {
-        let dropped = m.rec.trace_dropped();
-        if dropped > 0 {
-            eprintln!("note: trace buffer filled — {dropped} spans were dropped");
-        }
-        std::fs::write(target, m.rec.chrome_trace_json() + "\n")
-            .map_err(|e| CliError::Input(format!("{target}: {e}")))?;
-    }
-    if m.summary {
-        eprint!("{}", report.summary_table());
-    }
-    Ok(())
 }
 
 fn outcome_name(o: RunOutcome) -> &'static str {
@@ -513,47 +786,15 @@ fn outcome_name(o: RunOutcome) -> &'static str {
     }
 }
 
-fn load_graph_with(path: &str, giant: bool) -> Result<CsrGraph, CliError> {
-    let g = if path.ends_with(".mtx") {
-        read_mtx(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?
-    } else if path.ends_with(".graph") || path.ends_with(".metis") {
-        read_metis(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?
-    } else {
-        read_edge_list(path).map_err(|e| CliError::Input(format!("{path}: {e}")))?
-    };
-    if g.num_nodes() == 0 {
-        return Err(CliError::Input(format!("{path}: empty graph")));
-    }
-    if is_connected(&g) {
-        Ok(g)
-    } else if giant {
-        let sub = brics_graph::connectivity::largest_component(&g);
-        eprintln!(
-            "note: input was disconnected; kept the largest component ({} of {} \
-             vertices; ids remapped)",
-            sub.len(),
-            g.num_nodes()
-        );
-        Ok(sub.graph)
-    } else {
-        let (g2, added) = make_connected(&g);
-        eprintln!(
-            "note: input was disconnected; added {added} linking edges (paper §IV-B); \
-             pass --giant to keep only the largest component instead"
-        );
-        Ok(g2)
-    }
-}
-
-fn stats(p: &Parsed) -> Result<(), CliError> {
-    let path = p.positional.get(1).ok_or_else(|| usage("usage: brics stats <graph>"))?;
-    let m = metrics_from(p, &RunControl::new())?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    let g = load_graph_with(path, p.has("giant"))?;
+fn stats(s: &Scope<'_>) -> Result<(), CliError> {
+    let path = s.arg(0)?;
+    let g = s.read(path)?;
+    let rec = s.ctx.recorder();
     let d = degree_stats(&g);
-    let red = reduce_ctl_rec(&g, &ReductionConfig::all(), &RunControl::new(), &rec)
+    // `stats` reports the whole reduction, so it runs unbounded.
+    let red = reduce_ctl_rec(&g, &ReductionConfig::all(), &RunControl::new(), rec)
         .expect("unbounded control cannot be interrupted");
-    let bi = timed(&rec, "bct.build", || biconnected_components(&g));
+    let bi = timed(rec, "bct.build", || biconnected_components(&g));
     if rec.enabled() {
         rec.add(Counter::BctBlocks, bi.blocks.len() as u64);
         rec.add(Counter::BctCutVertices, bi.is_cut.iter().filter(|&&c| c).count() as u64);
@@ -594,72 +835,31 @@ fn stats(p: &Parsed) -> Result<(), CliError> {
             db.lower, db.upper, db.bfs_runs
         );
     }
-    emit_metrics(&m)?;
     Ok(())
 }
 
 /// `brics prepare` — run the prepare stage once and persist it as a
 /// binary artifact. Queries replay through `--artifact` with
 /// bit-identical answers and no `reduce` span in their run reports.
-fn prepare(p: &Parsed) -> Result<(), CliError> {
-    let path =
-        p.positional.get(1).ok_or_else(|| usage("usage: brics prepare <graph> <artifact>"))?;
-    let out =
-        p.positional.get(2).ok_or_else(|| usage("usage: brics prepare <graph> <artifact>"))?;
-    let ctl = control_from(p)?; // before load: --timeout bounds the command
-    let kcfg = kernel_from(p)?;
-    let method_name = p.get("method").unwrap_or("cumulative");
-    let pcfg = prepare_config_of(method_name, p.has("reorder"))?;
-    let m = metrics_from(p, &ctl)?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    if let Err(e) = check_io_fault(&ctl, path) {
-        let _ = emit_metrics(&m);
-        return Err(e);
-    }
-    let g = load_graph_with(path, p.has("giant"))?;
-    let ctx =
-        ExecutionContext::new().with_control(ctl).with_kernel(kcfg).with_recorder(&rec);
-    let prepared = match PreparedGraph::build_with(&g, pcfg, &ctx) {
-        Ok(prepared) => prepared,
-        Err(e) => {
-            let _ = emit_metrics(&m);
-            return Err(e.into());
-        }
-    };
+fn prepare(s: &Scope<'_>) -> Result<(), CliError> {
+    let (path, out) = (s.arg(0)?, s.arg(1)?);
+    let method = s.p.get("method").unwrap_or("cumulative");
+    let pcfg = prepare_config(&request_of(method)?, s.p.has("reorder"));
+    let g = s.read(path)?;
+    let prepared = PreparedGraph::build_with(&g, pcfg, &s.ctx)?;
     eprintln!(
-        "note: prepared '{method_name}' in {:.3}s — {} of {} vertices survive the reduction",
+        "note: prepared '{method}' in {:.3}s — {} of {} vertices survive the reduction",
         prepared.prepare_elapsed().as_secs_f64(),
         prepared.num_surviving(),
         g.num_nodes(),
     );
-    let info = match prepared.save(Path::new(out), path, &ctx) {
-        Ok(info) => info,
-        Err(e) => {
-            let _ = emit_metrics(&m);
-            return Err(e.into());
-        }
-    };
-    note_artifact(&m, &info);
+    let info = prepared.save(Path::new(out), path, &s.ctx)?;
+    s.note_artifact(&info);
     eprintln!(
         "note: wrote {out} ({} bytes, container v{}, checksum {:016x})",
         info.bytes, info.version, info.checksum
     );
-    emit_metrics(&m)?;
     Ok(())
-}
-
-/// Maps a `farness --method` name onto the prepare stage it needs: no
-/// reduction for the baselines, the paper's ablation configs for C+R and
-/// I+C+R, and the full reduction + Block-Cut Tree for Cumulative.
-fn prepare_config_of(name: &str, reorder: bool) -> Result<PrepareConfig, CliError> {
-    let (reductions, use_bcc) = match name {
-        "exact" | "random" => (brics::ReductionConfig::none(), false),
-        "cr" => (brics::ReductionConfig::cr(), false),
-        "icr" => (brics::ReductionConfig::icr(), false),
-        "cumulative" => (brics::ReductionConfig::all(), true),
-        other => return Err(CliError::Usage(format!("unknown method '{other}'"))),
-    };
-    Ok(PrepareConfig { reductions, use_bcc, reorder })
 }
 
 /// One farness result set, ready for printing: per-vertex values plus the
@@ -668,10 +868,8 @@ struct Rows {
     values: Vec<u64>,
     sampled: Vec<bool>,
     coverage: Vec<u32>,
-    label: String,
     num_sources: usize,
     outcome: RunOutcome,
-    degraded: bool,
 }
 
 /// Streams the farness table (or JSON document) to stdout. Streamed +
@@ -679,7 +877,7 @@ struct Rows {
 /// timed-out run the printing happens *after* the deadline — building one
 /// giant `Value` tree (or a syscall per line) would add seconds past the
 /// budget for no benefit.
-fn print_farness_rows(p: &Parsed, path: &str, rows: &Rows, top: usize) {
+fn print_farness_rows(p: &Parsed, path: &str, label: &str, rows: &Rows, top: usize) {
     let order: Vec<u32> = {
         let mut idx: Vec<u32> = (0..rows.values.len() as u32).collect();
         if top > 0 {
@@ -693,7 +891,7 @@ fn print_farness_rows(p: &Parsed, path: &str, rows: &Rows, top: usize) {
     if p.has("json") {
         writeln!(w, "{{").unwrap();
         writeln!(w, "  \"graph\": {},", serde_json::to_string(&path).unwrap()).unwrap();
-        writeln!(w, "  \"method\": {},", serde_json::to_string(&rows.label).unwrap()).unwrap();
+        writeln!(w, "  \"method\": {},", serde_json::to_string(&label).unwrap()).unwrap();
         writeln!(w, "  \"outcome\": \"{}\",", outcome_name(rows.outcome)).unwrap();
         writeln!(w, "  \"num_sources\": {},", rows.num_sources).unwrap();
         writeln!(w, "  \"vertices\": [").unwrap();
@@ -724,315 +922,87 @@ fn print_farness_rows(p: &Parsed, path: &str, rows: &Rows, top: usize) {
     w.flush().unwrap();
 }
 
-/// The `--degrade` artifact-plus-ladder flow: build the configured
-/// artifact (its prepare stage is already panic-isolated under an armed
-/// policy), and if even that fails softly, fall back to a minimal build —
-/// no reductions, no BCT, hence no memory admission — so the ladder still
-/// has something to run against. Hard data errors propagate.
-fn degraded_query<R: Recorder>(
-    g: &CsrGraph,
-    pcfg: PrepareConfig,
-    request: &DegradedRequest,
-    sample: SampleSize,
-    seed: u64,
-    ctx: &ExecutionContext<'_, R>,
-) -> Result<brics::DegradedEstimate, CentralityError> {
-    let (prepared, minimal_fallback) = degraded_prepare(g, pcfg, ctx)?;
-    let mut d = run_degraded(&prepared, request, sample, seed, ctx)?;
-    if minimal_fallback {
-        d.path.insert(0, "prepare:minimal".to_string());
-        d.degraded = true;
-    }
-    Ok(d)
-}
-
-/// The build half of [`degraded_query`], reusable when many queries share
-/// one artifact (`compare`). Returns the artifact plus whether the
-/// configured build failed softly and the minimal build stood in.
-fn degraded_prepare<'g, R: Recorder>(
-    g: &'g CsrGraph,
-    pcfg: PrepareConfig,
-    ctx: &ExecutionContext<'_, R>,
-) -> Result<(PreparedGraph<'g>, bool), CentralityError> {
-    match PreparedGraph::build_with(g, pcfg, ctx) {
-        Ok(prepared) => Ok((prepared, false)),
-        Err(
-            e @ (CentralityError::EmptyGraph
-            | CentralityError::Disconnected { .. }
-            | CentralityError::NoSamples),
-        ) => Err(e),
-        Err(first) => {
-            let minimal = PrepareConfig {
-                reductions: brics::ReductionConfig::none(),
-                use_bcc: false,
-                reorder: false,
-            };
-            match PreparedGraph::build_with(g, minimal, ctx) {
-                Ok(prepared) => Ok((prepared, true)),
-                Err(CentralityError::Interrupted { outcome }) => {
-                    Err(CentralityError::Interrupted { outcome })
-                }
-                Err(_) => Err(first),
+fn farness(s: &Scope<'_>) -> Result<(), CliError> {
+    let (path, _) = s.locate(0)?;
+    let input = s.input(path)?;
+    let rate = s.rate(0.2)?;
+    let seed = s.seed()?;
+    let top: usize = s.p.get_parse("top", 0).map_err(CliError::Usage)?;
+    let method = s.p.get("method").unwrap_or("cumulative");
+    let request = request_of(method)?;
+    let pcfg = prepare_config(&request, s.p.has("reorder"));
+    let ladder = s.ctx.degradation().is_some();
+    let (rows, degraded) = match s.prepare(&input, pcfg, std::slice::from_ref(&request)) {
+        Ok((prepared, minimal)) => match query(&prepared, &request, rate, seed, &s.ctx)? {
+            Answer::Exact(values) => {
+                let n = values.len();
+                let rows = Rows {
+                    sampled: vec![true; n],
+                    coverage: vec![(n as u32).saturating_sub(1); n],
+                    values,
+                    num_sources: n,
+                    outcome: RunOutcome::Complete,
+                };
+                (rows, false)
             }
-        }
-    }
-}
-
-fn farness(p: &Parsed) -> Result<(), CliError> {
-    let artifact = artifact_from(p)?;
-    if artifact.is_some() && p.positional.get(1).is_some() {
-        return Err(usage("farness takes either <graph> or --artifact, not both"));
-    }
-    let path = match &artifact {
-        Some(a) => a.as_str(),
-        None => p
-            .positional
-            .get(1)
-            .map(String::as_str)
-            .ok_or_else(|| usage("usage: brics farness <graph> [options]"))?,
-    };
-    // The control is built *before* loading so `--timeout` bounds the whole
-    // command: a slow parse eats into the budget and the (uninterruptible)
-    // load is followed by an immediate deadline check inside the engine.
-    let ctl = control_from(p)?;
-    let kcfg = kernel_from(p)?;
-    let policy = degradation_from(p)?;
-    let m = metrics_from(p, &ctl)?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    if artifact.is_none() {
-        if let Err(e) = check_io_fault(&ctl, path) {
-            let _ = emit_metrics(&m);
-            return Err(e);
-        }
-    }
-    let loaded = match &artifact {
-        Some(_) => None, // the prepared state comes from the artifact file
-        None => Some(load_graph_with(path, p.has("giant"))?),
-    };
-    let rate = rate_from(p, 0.2)?;
-    let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
-    let top: usize = p.get_parse("top", 0).map_err(CliError::Usage)?;
-    let method_name = p.get("method").unwrap_or("cumulative");
-    // --reorder becomes part of the prepare stage: queries traverse the
-    // degree-sorted relabelling and the artifact translates every result
-    // back, so ids in the output are always the input's ids.
-    let pcfg = prepare_config_of(method_name, p.has("reorder"))?;
-    if pcfg.reorder && artifact.is_none() {
-        eprintln!("note: --reorder relabelled vertices by descending degree");
-    }
-    let mut ctx = ExecutionContext::new().with_control(ctl).with_kernel(kcfg);
-    if let Some(policy) = policy {
-        ctx = ctx.with_degradation(policy);
-    }
-    let ctx = ctx.with_recorder(&rec);
-    // Artifact mode: ONE load (integrity-checked, mmap-backed) serves both
-    // the degrade ladder and the plain query paths below.
-    let from_artifact: Option<PreparedGraph<'static>> = match &artifact {
-        Some(file) => match load_artifact(file, &m, &ctx) {
-            Ok(prepared) => Some(prepared),
-            Err(e) => {
-                let _ = emit_metrics(&m);
-                return Err(e.into());
-            }
-        },
-        None => None,
-    };
-    let n = from_artifact.as_ref().map_or_else(
-        || loaded.as_ref().expect("graph or artifact").num_nodes(),
-        |prepared| prepared.original().num_nodes(),
-    );
-    // Plan-vs-actual: stamp the admission figure this query runs under, so
-    // the report's memory block can rate observed peak against it.
-    let plan = MemoryPlan::compute(n, ctx.thread_count());
-    note_planned_bytes(
-        &m,
-        match method_name {
-            "exact" => plan.exact_bytes,
-            "random" | "cr" | "icr" => plan.accumulate_bytes,
-            _ => plan.cumulative_bytes,
-        },
-    );
-
-    if policy.is_some() {
-        // --degrade: route through the quality ladder instead of the plain
-        // query path. The ladder owns retries/fallbacks; the command's job
-        // is artifact construction, output and the exit code.
-        let request = match method_name {
-            "exact" => DegradedRequest::Exact,
-            "random" => DegradedRequest::Estimate(Method::RandomSampling),
-            "cr" => DegradedRequest::Estimate(Method::CR),
-            "icr" => DegradedRequest::Estimate(Method::ICR),
-            _ => DegradedRequest::Estimate(Method::Cumulative),
-        };
-        let queried = match &from_artifact {
-            Some(prepared) => {
-                run_degraded(prepared, &request, SampleSize::Fraction(rate), seed, &ctx)
-            }
-            None => degraded_query(
-                loaded.as_ref().expect("graph loaded"),
-                pcfg,
-                &request,
-                SampleSize::Fraction(rate),
-                seed,
-                &ctx,
-            ),
-        };
-        let (rows, answered_by) =
-            match queried {
-                Ok(d) => {
-                    note_degradation_path(&m, &d.path);
-                    eprintln!(
-                        "note: {} sources, {:.3}s — answered by {} (path: {}; \
-                         {} retries, {} quarantined)",
-                        d.estimate.num_sources(),
-                        d.estimate.elapsed().as_secs_f64(),
+            Answer::Estimate(d) => {
+                s.note_path(&d.path);
+                let est = &d.estimate;
+                let how = if ladder {
+                    format!(
+                        " — answered by {} (path: {}; {} retries, {} quarantined)",
                         d.answered_by,
                         d.path.join(" -> "),
                         d.retries,
                         d.quarantined,
-                    );
-                    let rows = Rows {
-                        values: d.estimate.raw().to_vec(),
-                        sampled: d.estimate.sampled_mask().to_vec(),
-                        coverage: d.estimate.coverage().to_vec(),
-                        label: method_name.into(),
-                        num_sources: d.estimate.num_sources(),
-                        outcome: d.estimate.outcome(),
-                        degraded: d.degraded,
-                    };
-                    (rows, d.answered_by)
-                }
-                // Not even the minimal prepare could start (expired
-                // deadline): the trivial zero-coverage partial is still a
-                // sound answer — print it, exactly like the plain path.
-                Err(CentralityError::Interrupted { outcome }) => {
-                    let answered = "partial-lower-bounds".to_string();
-                    note_degradation_path(&m, std::slice::from_ref(&answered));
-                    let rows = Rows {
-                        values: vec![0; n],
-                        sampled: vec![false; n],
-                        coverage: vec![0; n],
-                        label: method_name.into(),
-                        num_sources: 0,
-                        outcome,
-                        degraded: true,
-                    };
-                    (rows, answered)
-                }
-                Err(e) => {
-                    let _ = emit_metrics(&m);
-                    return Err(e.into());
-                }
-            };
-        print_farness_rows(p, path, &rows, top);
-        emit_metrics(&m)?;
-        if rows.outcome.is_interrupted() {
-            return Err(CliError::TimeoutPartial(format!(
-                "{} interrupted the run after {} completed sources; the printed \
-                 estimate is a sound partial lower bound",
-                outcome_name(rows.outcome),
-                rows.num_sources
-            )));
-        }
-        if rows.degraded {
-            return Err(CliError::Degraded(format!(
-                "answered by the '{answered_by}' rung instead of the requested \
-                 '{method_name}' estimate; the printed values are sound lower bounds"
-            )));
-        }
-        return Ok(());
-    }
-
-    let built = match from_artifact {
-        Some(prepared) => Ok(prepared),
-        None => PreparedGraph::build_with(loaded.as_ref().expect("graph loaded"), pcfg, &ctx),
-    };
-    let rows = match built {
-        // The prepare stage itself was cut short before any source could
-        // run: report the trivial (but sound) zero-coverage partial, exactly
-        // as an interrupted estimation does. Exact refuses below instead.
-        Err(CentralityError::Interrupted { outcome }) if method_name != "exact" => Rows {
-            values: vec![0; n],
-            sampled: vec![false; n],
-            coverage: vec![0; n],
-            label: method_name.into(),
-            num_sources: 0,
-            outcome,
-            degraded: false,
+                    )
+                } else if est.is_partial() {
+                    format!(" — PARTIAL ({})", outcome_name(est.outcome()))
+                } else {
+                    String::new()
+                };
+                eprintln!(
+                    "note: {} sources, {:.3}s{how}",
+                    est.num_sources(),
+                    est.elapsed().as_secs_f64()
+                );
+                let rows = Rows {
+                    values: est.raw().to_vec(),
+                    sampled: est.sampled_mask().to_vec(),
+                    coverage: est.coverage().to_vec(),
+                    num_sources: est.num_sources(),
+                    outcome: est.outcome(),
+                };
+                (rows, d.degraded || minimal)
+            }
         },
-        Err(e) => {
-            let _ = emit_metrics(&m);
-            return Err(e.into());
-        }
-        Ok(prepared) if method_name == "exact" => {
-            // Exact computation is all-or-nothing: an expired --timeout
-            // comes back as `CentralityError::Interrupted` (exit 4, no
-            // output — but the collected telemetry still reports).
-            match prepared.exact(&ctx) {
-                Ok(f) => Rows {
-                    values: f,
-                    sampled: vec![true; n],
-                    coverage: vec![(n as u32).saturating_sub(1); n],
-                    label: "exact".into(),
-                    num_sources: n,
-                    outcome: RunOutcome::Complete,
-                    degraded: false,
-                },
-                Err(e) => {
-                    let _ = emit_metrics(&m);
-                    return Err(e.into());
-                }
+        // The build was cut short before any source could run: the trivial
+        // zero-coverage partial is still a sound answer. Exact farness
+        // refuses instead, unless the ladder answers for it. (Only a build
+        // is interrupted; an artifact load has no deadline check.)
+        Err(CentralityError::Interrupted { outcome })
+            if ladder || request != DegradedRequest::Exact =>
+        {
+            let Input::Graph(g) = &input else {
+                return Err(CentralityError::Interrupted { outcome }.into());
+            };
+            let n = g.num_nodes();
+            if ladder {
+                s.note_path(&["partial-lower-bounds".to_string()]);
             }
+            let rows = Rows {
+                values: vec![0; n],
+                sampled: vec![false; n],
+                coverage: vec![0; n],
+                num_sources: 0,
+                outcome,
+            };
+            (rows, ladder)
         }
-        Ok(prepared) => {
-            let sample = SampleSize::Fraction(rate);
-            let est = match method_name {
-                "random" => prepared.sample(sample, seed, &ctx),
-                "cumulative" => prepared.cumulative(sample, seed, &ctx),
-                _ => prepared.reduced(sample, seed, &ctx),
-            };
-            let est = match est {
-                Ok(est) => est,
-                Err(e) => {
-                    let _ = emit_metrics(&m);
-                    return Err(e.into());
-                }
-            };
-            let partial_note = if est.is_partial() {
-                format!(" — PARTIAL ({})", outcome_name(est.outcome()))
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "note: {} sources, {:.3}s{partial_note}",
-                est.num_sources(),
-                est.elapsed().as_secs_f64()
-            );
-            Rows {
-                values: est.raw().to_vec(),
-                sampled: est.sampled_mask().to_vec(),
-                coverage: est.coverage().to_vec(),
-                label: method_name.into(),
-                num_sources: est.num_sources(),
-                outcome: est.outcome(),
-                degraded: false,
-            }
-        }
+        Err(e) => return Err(e.into()),
     };
-
-    print_farness_rows(p, path, &rows, top);
-    emit_metrics(&m)?;
-    if !rows.outcome.is_complete() {
-        // The partial (but sound) estimate went to stdout above; the exit
-        // code still has to tell scripts the run was cut short.
-        return Err(CliError::TimeoutPartial(format!(
-            "{} interrupted the run after {} completed sources; the printed \
-             estimate is a sound partial lower bound",
-            outcome_name(rows.outcome),
-            rows.num_sources
-        )));
-    }
-    Ok(())
+    print_farness_rows(s.p, path, method, &rows, top);
+    exit_status(rows.outcome, degraded)
 }
 
 /// `brics compare` — the amortization flow the two-stage engine exists
@@ -1040,105 +1010,43 @@ fn farness(p: &Parsed) -> Result<(), CliError> {
 /// every requested method at every sampling rate. With `--metrics` the
 /// report shows a single `reduce` span with `count == 1` no matter how
 /// many estimates ran.
-fn compare(p: &Parsed) -> Result<(), CliError> {
-    let artifact = artifact_from(p)?;
-    if artifact.is_some() && p.positional.get(1).is_some() {
-        return Err(usage("compare takes either <graph> or --artifact, not both"));
-    }
-    let path = match &artifact {
-        Some(a) => a.as_str(),
-        None => p
-            .positional
-            .get(1)
-            .map(String::as_str)
-            .ok_or_else(|| usage("usage: brics compare <graph> [options]"))?,
-    };
-    let ctl = control_from(p)?; // before load: --timeout bounds the command
-    let kcfg = kernel_from(p)?;
-    let policy = degradation_from(p)?;
-    let m = metrics_from(p, &ctl)?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    if artifact.is_none() {
-        if let Err(e) = check_io_fault(&ctl, path) {
-            let _ = emit_metrics(&m);
-            return Err(e);
-        }
-    }
-    let g = match &artifact {
-        Some(_) => None, // the prepared state comes from the artifact file
-        None => Some(load_graph_with(path, p.has("giant"))?),
-    };
-    let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
-
-    let rates: Vec<f64> = p
+fn compare(s: &Scope<'_>) -> Result<(), CliError> {
+    let (path, _) = s.locate(0)?;
+    let input = s.input(path)?;
+    let seed = s.seed()?;
+    let rates: Vec<f64> = s
+        .p
         .get("rates")
         .unwrap_or("0.1,0.2,0.3")
         .split(',')
         .map(|v| parse_rate("rates", v))
         .collect::<Result<_, _>>()?;
-    let methods: Vec<String> = p
+    let methods: Vec<(&'static str, DegradedRequest)> = s
+        .p
         .get("methods")
         .unwrap_or("random,reduced,cumulative")
         .split(',')
-        .map(|s| {
-            let name = s.trim();
-            match name {
-                "random" | "reduced" | "cumulative" => Ok(name.to_string()),
-                other => Err(CliError::Usage(format!(
-                    "unknown compare method '{other}' (expected random, reduced or cumulative)"
-                ))),
-            }
+        .map(|name| match name.trim() {
+            "random" => Ok(("random", DegradedRequest::Estimate(Method::RandomSampling))),
+            "reduced" => Ok(("reduced", DegradedRequest::Estimate(Method::ICR))),
+            "cumulative" => Ok(("cumulative", DegradedRequest::Estimate(Method::Cumulative))),
+            other => Err(CliError::Usage(format!(
+                "unknown compare method '{other}' (expected random, reduced or cumulative)"
+            ))),
         })
         .collect::<Result<_, _>>()?;
-    if rates.is_empty() || methods.is_empty() {
-        return Err(usage("compare needs at least one method and one rate"));
+    let mut planned: Vec<DegradedRequest> = methods.iter().map(|(_, r)| r.clone()).collect();
+    if s.p.has("exact") {
+        planned.push(DegradedRequest::Exact);
     }
-
-    let mut ctx = ExecutionContext::new().with_control(ctl).with_kernel(kcfg);
-    if let Some(policy) = policy {
-        ctx = ctx.with_degradation(policy);
-    }
-    let ctx = ctx.with_recorder(&rec);
-    let pcfg = PrepareConfig {
-        reductions: brics::ReductionConfig::all(),
-        use_bcc: true,
-        reorder: p.has("reorder"),
-    };
-    let build = match &artifact {
-        Some(file) => load_artifact(file, &m, &ctx).map(|prepared| (prepared, false)),
-        None if policy.is_some() => degraded_prepare(g.as_ref().expect("graph loaded"), pcfg, &ctx),
-        None => PreparedGraph::build_with(g.as_ref().expect("graph loaded"), pcfg, &ctx)
-            .map(|prepared| (prepared, false)),
-    };
-    let (prepared, minimal_fallback) = match build {
-        Ok(t) => t,
-        Err(e) => {
-            let _ = emit_metrics(&m);
-            return Err(e.into());
-        }
-    };
-    let n = g.as_ref().map_or_else(|| prepared.original().num_nodes(), CsrGraph::num_nodes);
-    // The comparison's planned figure is the widest single query: the plan
-    // is a per-query envelope (queries run one after another), not a sum.
-    let plan = MemoryPlan::compute(n, ctx.thread_count());
-    for method in &methods {
-        note_planned_bytes(
-            &m,
-            match method.as_str() {
-                "random" | "reduced" => plan.accumulate_bytes,
-                _ => plan.cumulative_bytes,
-            },
-        );
-    }
-    if p.has("exact") {
-        note_planned_bytes(&m, plan.exact_bytes);
-    }
-    let mut any_degraded = minimal_fallback || !prepared.prepare_degradation().is_empty();
-    if minimal_fallback {
-        note_degradation_path(&m, &["prepare:minimal".to_string()]);
-        eprintln!("note: configured prepare failed; queries run on a minimal artifact");
-    }
-    note_degradation_path(&m, prepared.prepare_degradation());
+    let cumulative = DegradedRequest::Estimate(Method::Cumulative);
+    let pcfg = prepare_config(&cumulative, s.p.has("reorder"));
+    let (prepared, minimal) = s.prepare(&input, pcfg, &planned)?;
+    // Stages the build skipped under `--degrade` (a loaded artifact records
+    // its own build's) degrade every answer.
+    s.note_path(prepared.prepare_degradation());
+    let mut degraded = minimal || !prepared.prepare_degradation().is_empty();
+    let n = prepared.original().num_nodes();
     eprintln!(
         "note: prepared once in {:.3}s — {} of {} vertices survive the reduction; \
          {} estimates share the artifact",
@@ -1147,20 +1055,10 @@ fn compare(p: &Parsed) -> Result<(), CliError> {
         n,
         methods.len() * rates.len(),
     );
-    let exact = if p.has("exact") {
-        match prepared.exact(&ctx) {
-            Ok(x) => Some(x),
-            Err(e) => {
-                let _ = emit_metrics(&m);
-                return Err(e.into());
-            }
-        }
-    } else {
-        None
-    };
+    let exact = if s.p.has("exact") { Some(prepared.exact(&s.ctx)?) } else { None };
 
     struct Row {
-        method: String,
+        method: &'static str,
         rate: f64,
         sources: usize,
         seconds: f64,
@@ -1169,42 +1067,21 @@ fn compare(p: &Parsed) -> Result<(), CliError> {
     }
     let mut rows: Vec<Row> = Vec::with_capacity(methods.len() * rates.len());
     let mut worst = RunOutcome::Complete;
-    for method in &methods {
+    for &(method, ref request) in &methods {
         for &rate in &rates {
-            let sample = SampleSize::Fraction(rate);
-            let est = if policy.is_some() {
-                // --degrade: every cell answers through the ladder against
-                // the shared artifact; a faulted cell degrades alone
-                // instead of failing the whole comparison.
-                let request = match method.as_str() {
-                    "random" => DegradedRequest::Estimate(Method::RandomSampling),
-                    "reduced" => DegradedRequest::Estimate(Method::ICR),
-                    _ => DegradedRequest::Estimate(Method::Cumulative),
-                };
-                run_degraded(&prepared, &request, sample, seed, &ctx).map(|d| {
-                    if d.degraded {
-                        any_degraded = true;
-                        note_degradation_path(&m, &d.path);
-                    }
-                    d.estimate
-                })
-            } else {
-                match method.as_str() {
-                    "random" => prepared.sample(sample, seed, &ctx),
-                    "reduced" => prepared.reduced(sample, seed, &ctx),
-                    _ => prepared.cumulative(sample, seed, &ctx),
-                }
+            // Under --degrade a faulted cell degrades alone instead of
+            // failing the whole comparison.
+            let Answer::Estimate(d) = query(&prepared, request, rate, seed, &s.ctx)? else {
+                unreachable!("compare queries estimates only")
             };
-            let est = match est {
-                Ok(est) => est,
-                Err(e) => {
-                    let _ = emit_metrics(&m);
-                    return Err(e.into());
-                }
-            };
+            if d.degraded {
+                degraded = true;
+                s.note_path(&d.path);
+            }
+            let est = d.estimate;
             worst = worst.merge(est.outcome());
             rows.push(Row {
-                method: method.clone(),
+                method,
                 rate,
                 sources: est.num_sources(),
                 seconds: est.elapsed().as_secs_f64(),
@@ -1216,14 +1093,14 @@ fn compare(p: &Parsed) -> Result<(), CliError> {
         }
     }
 
-    if p.has("json") {
+    if s.p.has("json") {
         let doc = serde_json::json!({
             "graph": path,
             "seed": seed,
             "prepare_seconds": prepared.prepare_elapsed().as_secs_f64(),
             "surviving_vertices": prepared.num_surviving(),
             "runs": rows.iter().map(|r| serde_json::json!({
-                "method": r.method.clone(),
+                "method": r.method,
                 "rate": r.rate,
                 "sources": r.sources,
                 "seconds": r.seconds,
@@ -1247,103 +1124,32 @@ fn compare(p: &Parsed) -> Result<(), CliError> {
             );
         }
     }
-    emit_metrics(&m)?;
-    if worst.is_interrupted() {
-        return Err(CliError::TimeoutPartial(format!(
-            "{} interrupted at least one estimate; the printed rows are sound partials",
-            outcome_name(worst)
-        )));
-    }
-    if any_degraded || worst == RunOutcome::Degraded {
-        return Err(CliError::Degraded(
-            "at least one estimate answered through a lower ladder rung; the printed \
-             rows are sound lower bounds"
-                .to_string(),
-        ));
-    }
-    Ok(())
+    exit_status(worst, degraded)
 }
 
-fn topk(p: &Parsed) -> Result<(), CliError> {
-    let artifact = artifact_from(p)?;
-    // --artifact replaces <graph>, so <k> shifts to the first positional.
-    let (path, k_arg) = match &artifact {
-        Some(a) => {
-            if p.positional.get(2).is_some() {
-                return Err(usage("topk takes either <graph> or --artifact, not both"));
-            }
-            let k = p
-                .positional
-                .get(1)
-                .map(String::as_str)
-                .ok_or_else(|| usage("usage: brics topk --artifact <file> <k>"))?;
-            (a.as_str(), k)
-        }
-        None => (
-            p.positional
-                .get(1)
-                .map(String::as_str)
-                .ok_or_else(|| usage("usage: brics topk <graph> <k>"))?,
-            p.positional
-                .get(2)
-                .map(String::as_str)
-                .ok_or_else(|| usage("usage: brics topk <graph> <k>"))?,
-        ),
-    };
-    let k: usize = k_arg.parse().map_err(|e| CliError::Usage(format!("bad k: {e}")))?;
-    let ctl = control_from(p)?; // before load: --timeout bounds the command
-    let kcfg = kernel_from(p)?;
-    let prune = match p.get("topk-prune").unwrap_or("on") {
+fn topk(s: &Scope<'_>) -> Result<(), CliError> {
+    let (path, rest) = s.locate(1)?;
+    let k: usize = rest[0].parse().map_err(|e| CliError::Usage(format!("bad k: {e}")))?;
+    let prune = match s.p.get("topk-prune").unwrap_or("on") {
         "on" | "" => true,
         "off" => false,
         other => {
             return Err(CliError::Usage(format!("--topk-prune {other}: expected on|off")))
         }
     };
-    let m = metrics_from(p, &ctl)?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    if artifact.is_none() {
-        if let Err(e) = check_io_fault(&ctl, path) {
-            let _ = emit_metrics(&m);
-            return Err(e);
-        }
-    }
-    let g = match &artifact {
-        Some(_) => None, // the prepared state comes from the artifact file
-        None => Some(load_graph_with(path, p.has("giant"))?),
-    };
-    let rate = rate_from(p, 0.3)?;
-    let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
+    let input = s.input(path)?;
+    let rate = s.rate(0.3)?;
+    let seed = s.seed()?;
     // One prepared artifact (reduction + Block-Cut Tree built once, a
-    // single `reduce` span) serves the estimate and the verification scan,
-    // exactly like `farness`/`compare`; --reorder relabels inside it and
-    // the ranking is translated back to input ids.
-    let pcfg = prepare_config_of("cumulative", p.has("reorder"))?;
-    if pcfg.reorder && artifact.is_none() {
-        eprintln!("note: --reorder relabelled vertices by descending degree");
-    }
-    let ctx =
-        ExecutionContext::new().with_control(ctl).with_kernel(kcfg).with_recorder(&rec);
+    // single `reduce` span) serves the cumulative estimate and the
+    // verification scan, both covered by the cumulative admission envelope.
+    let cumulative = DegradedRequest::Estimate(Method::Cumulative);
+    let pcfg = prepare_config(&cumulative, s.p.has("reorder"));
+    let (prepared, _) = s.prepare(&input, pcfg, std::slice::from_ref(&cumulative))?;
+    let n = prepared.original().num_nodes();
     // Top-k promises exact answers, so interruption is an error (exit 4),
-    // never a shorter/looser ranking. Emit whatever telemetry the run
-    // collected before surfacing the error.
-    let built = match &artifact {
-        Some(file) => load_artifact(file, &m, &ctx),
-        None => PreparedGraph::build_with(g.as_ref().expect("graph loaded"), pcfg, &ctx),
-    };
-    let (n, t) = match built.and_then(|prepared| {
-        let n = prepared.original().num_nodes();
-        prepared.topk_with(k, SampleSize::Fraction(rate), seed, prune, &ctx).map(|t| (n, t))
-    }) {
-        Ok(t) => t,
-        Err(e) => {
-            let _ = emit_metrics(&m);
-            return Err(e.into());
-        }
-    };
-    // Top-k runs the cumulative estimate plus verification sweeps, both
-    // covered by the cumulative admission envelope.
-    note_planned_bytes(&m, MemoryPlan::compute(n, ctx.thread_count()).cumulative_bytes);
+    // never a shorter or looser ranking.
+    let t = prepared.topk_with(k, SampleSize::Fraction(rate), seed, prune, &s.ctx)?;
     eprintln!(
         "note: {} pruned, {} cut mid-sweep, {} verified by BFS, {} for free (of {})",
         t.pruned,
@@ -1352,7 +1158,7 @@ fn topk(p: &Parsed) -> Result<(), CliError> {
         t.verified_for_free,
         n
     );
-    if p.has("json") {
+    if s.p.has("json") {
         let doc = serde_json::json!({
             "graph": path,
             "k": k,
@@ -1371,35 +1177,26 @@ fn topk(p: &Parsed) -> Result<(), CliError> {
             println!("{} {v} {f} {c:.3e}", i + 1);
         }
     }
-    emit_metrics(&m)?;
     Ok(())
 }
 
-fn betweenness(p: &Parsed) -> Result<(), CliError> {
-    let path =
-        p.positional.get(1).ok_or_else(|| usage("usage: brics betweenness <graph> [options]"))?;
-    let ctl = control_from(p)?; // before load: --timeout bounds the command
-    let m = metrics_from(p, &ctl)?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    let g = load_graph_with(path, p.has("giant"))?;
-    let top: usize = p.get_parse("top", 10).map_err(CliError::Usage)?;
-    let (values, outcome) = if p.has("exact") {
-        (
-            timed(&rec, "estimate", || brics::betweenness::exact_betweenness(&g)),
+fn betweenness(s: &Scope<'_>) -> Result<(), CliError> {
+    let g = s.read(s.arg(0)?)?;
+    let top: usize = s.p.get_parse("top", 10).map_err(CliError::Usage)?;
+    let sampled = if s.p.has("exact") { None } else { Some((s.rate(0.3)?, s.seed()?)) };
+    let (values, outcome) = match sampled {
+        None => (
+            timed(s.ctx.recorder(), "estimate", || brics::betweenness::exact_betweenness(&g)),
             RunOutcome::Complete,
-        )
-    } else {
-        let rate = rate_from(p, 0.3)?;
-        let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
-        let ctx = ExecutionContext::new().with_control(ctl).with_recorder(&rec);
-        match brics::betweenness::sampled_betweenness_in(&g, SampleSize::Fraction(rate), seed, &ctx)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = emit_metrics(&m);
-                return Err(e.into());
-            }
-        }
+        ),
+        // An interrupted run prints the unbiased estimate over the
+        // completed pivots.
+        Some((rate, seed)) => brics::betweenness::sampled_betweenness_in(
+            &g,
+            SampleSize::Fraction(rate),
+            seed,
+            &s.ctx,
+        )?,
     };
     let mut idx: Vec<u32> = (0..values.len() as u32).collect();
     idx.sort_by(|&a, &b| {
@@ -1413,41 +1210,24 @@ fn betweenness(p: &Parsed) -> Result<(), CliError> {
     for (i, &v) in idx.iter().enumerate() {
         println!("{} {v} {:.3}", i + 1, values[v as usize]);
     }
-    emit_metrics(&m)?;
-    if !outcome.is_complete() {
-        return Err(CliError::TimeoutPartial(format!(
-            "{} interrupted the run; the printed betweenness is the unbiased \
-             estimate over the completed pivots",
-            outcome_name(outcome)
-        )));
-    }
-    Ok(())
+    exit_status(outcome, false)
 }
 
-fn generate(p: &Parsed) -> Result<(), CliError> {
-    let class: GraphClass = p
-        .positional
-        .get(1)
-        .ok_or_else(|| usage("usage: brics generate <class> <nodes>"))?
-        .parse()
-        .map_err(CliError::Usage)?;
-    let nodes: usize = p
-        .positional
-        .get(2)
-        .ok_or_else(|| usage("usage: brics generate <class> <nodes>"))?
-        .parse()
-        .map_err(|e| CliError::Usage(format!("bad node count: {e}")))?;
-    let seed: u64 = p.get_parse("seed", 0).map_err(CliError::Usage)?;
-    let m = metrics_from(p, &RunControl::new())?;
-    let rec = m.as_ref().map(|mm| mm.rec.as_ref());
-    let g = timed(&rec, "generate.build", || class.generate(ClassParams::new(nodes, seed)));
+fn generate(s: &Scope<'_>) -> Result<(), CliError> {
+    let class: GraphClass = s.arg(0)?.parse().map_err(CliError::Usage)?;
+    let nodes: usize =
+        s.arg(1)?.parse().map_err(|e| CliError::Usage(format!("bad node count: {e}")))?;
+    let seed = s.seed()?;
+    let g = timed(s.ctx.recorder(), "generate.build", || {
+        class.generate(ClassParams::new(nodes, seed))
+    });
     eprintln!(
         "generated {} graph: {} vertices, {} edges (seed {seed})",
         class.name(),
         g.num_nodes(),
         g.num_edges()
     );
-    match p.get("out") {
+    match s.p.get("out") {
         Some(path) if path.ends_with(".mtx") => {
             write_mtx(&g, path).map_err(|e| CliError::Input(e.to_string()))?;
         }
@@ -1462,7 +1242,6 @@ fn generate(p: &Parsed) -> Result<(), CliError> {
                 .map_err(|e| CliError::Input(e.to_string()))?;
         }
     }
-    emit_metrics(&m)?;
     Ok(())
 }
 
@@ -1913,10 +1692,21 @@ mod tests {
         let path = tmp("metall.el");
         let out = tmp("metall.json");
         let o = out.to_str().unwrap();
+        let read_report = |args: &[&str]| -> brics::RunReport {
+            let text = std::fs::read_to_string(&out)
+                .unwrap_or_else(|e| panic!("{args:?}: no report written: {e}"));
+            let report: brics::RunReport = serde_json::from_str(&text)
+                .unwrap_or_else(|e| panic!("{args:?}: report does not parse: {e}"));
+            assert_eq!(report.schema, brics::RunReport::SCHEMA, "{args:?}");
+            report
+        };
         run(&["generate", "road", "300", "--seed", "2", "--out", path.to_str().unwrap(),
               "--metrics", o])
             .unwrap();
         let g: &str = path.to_str().unwrap();
+        let art = tmp("metall.brics");
+        let a = art.to_str().unwrap();
+        run(&["prepare", g, a]).unwrap();
         for args in [
             vec!["stats", g, "--metrics", o],
             vec!["farness", g, "--method", "random", "--rate", "0.3", "--metrics", o],
@@ -1925,9 +1715,91 @@ mod tests {
             vec!["betweenness", g, "--top", "3", "--metrics", o],
         ] {
             run(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
-            let report: brics::RunReport =
-                serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
-            assert_eq!(report.schema, brics::RunReport::SCHEMA, "{args:?}");
+            let report = read_report(&args);
+            assert!(!report.events.iter().any(|e| e.kind == "exit"), "{args:?}: exit event");
+        }
+
+        // Every early exit a command has writes its report too, with one
+        // `exit` event naming the code: a usage error once the telemetry
+        // flags parsed, a missing or malformed graph, a missing artifact,
+        // an injected `io.read` error, an expired deadline, a worker panic
+        // and a degraded answer. Where a malformed flag meets an input that
+        // does not read, the code is the one each command has always given:
+        // a graph is read before the command's own flags are parsed, an
+        // artifact is loaded after them, and `topk` parses <k> first.
+        let bad = tmp("metall-bad.el");
+        std::fs::write(&bad, "1 2\nfoo bar\n").unwrap();
+        let bad = bad.to_str().unwrap();
+        let nowhere = tmp("metall-absent.el");
+        let nowhere = nowhere.to_str().unwrap();
+        let io = "io.read=io-error";
+        let panic = "bfs.source=panic@every:1";
+        let deny = "alloc.admit=mem-deny";
+        let cells: Vec<(Vec<&str>, u8)> = vec![
+            (vec!["stats", g, "--timeout", "abc"], 2),
+            (vec!["stats", nowhere], 3),
+            (vec!["stats", bad], 3),
+            (vec!["stats", g, "--fault", io], 3),
+            (vec!["prepare", g, "x.brics", "--method", "magic"], 2),
+            (vec!["prepare", nowhere, "x.brics"], 3),
+            (vec!["prepare", bad, "x.brics"], 3),
+            (vec!["prepare", g, "x.brics", "--fault", io], 3),
+            (vec!["prepare", g, "x.brics", "--timeout", "0"], 4),
+            (vec!["prepare", g, "x.brics", "--fault", panic], 5),
+            (vec!["farness", g, "--rate", "2"], 2),
+            (vec!["farness", g, "--method", "magic"], 2),
+            (vec!["farness", nowhere], 3),
+            (vec!["farness", bad], 3),
+            (vec!["farness", "--artifact", nowhere], 3),
+            (vec!["farness", g, "--fault", io], 3),
+            (vec!["farness", g, "--timeout", "0", "--top", "1"], 4),
+            (vec!["farness", g, "--method", "random", "--fault", panic], 5),
+            (vec!["farness", g, "--fault", deny, "--degrade", "--top", "1"], 6),
+            (vec!["farness", nowhere, "--rate", "2"], 3),
+            (vec!["farness", "--artifact", nowhere, "--method", "magic"], 2),
+            (vec!["compare", g, "--seed", "x"], 2),
+            (vec!["compare", nowhere], 3),
+            (vec!["compare", bad], 3),
+            (vec!["compare", "--artifact", nowhere], 3),
+            (vec!["compare", g, "--fault", io], 3),
+            (vec!["compare", g, "--timeout", "0"], 4),
+            (vec!["compare", "--artifact", a, "--rates", "0.3", "--fault", panic], 5),
+            (vec!["compare", g, "--rates", "0.3", "--fault", deny, "--degrade"], 6),
+            (vec!["compare", bad, "--seed", "x"], 3),
+            (vec!["compare", "--artifact", nowhere, "--rates", "0"], 2),
+            (vec!["topk", g, "3", "--rate", "2"], 2),
+            (vec!["topk", nowhere, "3"], 3),
+            (vec!["topk", bad, "3"], 3),
+            (vec!["topk", "--artifact", nowhere, "3"], 3),
+            (vec!["topk", g, "3", "--fault", io], 3),
+            (vec!["topk", g, "3", "--timeout", "0"], 4),
+            (vec!["topk", g, "3", "--fault", panic], 5),
+            (vec!["topk", nowhere, "abc"], 2),
+            (vec!["topk", "--artifact", nowhere, "abc"], 2),
+            (vec!["topk", g, "abc", "--fault", io], 2),
+            (vec!["topk", nowhere, "3", "--seed", "x"], 3),
+            (vec!["betweenness", g, "--seed", "x"], 2),
+            (vec!["betweenness", nowhere], 3),
+            (vec!["betweenness", bad], 3),
+            (vec!["betweenness", g, "--fault", io], 3),
+            (vec!["betweenness", g, "--timeout", "0", "--top", "1"], 4),
+            (vec!["betweenness", g, "--fault", panic], 5),
+            (vec!["betweenness", nowhere, "--top", "x"], 3),
+            (vec!["generate", "road", "10", "--seed", "x"], 2),
+        ];
+        for (mut args, code) in cells {
+            args.extend(["--metrics", o]);
+            let _ = std::fs::remove_file(&out);
+            let err = run(&args).expect_err("cell must fail");
+            assert_eq!(err.exit_code(), code, "{args:?}: {err}");
+            let report = read_report(&args);
+            let exits: Vec<_> = report.events.iter().filter(|e| e.kind == "exit").collect();
+            assert_eq!(exits.len(), 1, "{args:?}: {exits:?}");
+            assert!(exits[0].detail.starts_with(&format!("exit {code}: ")), "{args:?}: {exits:?}");
+            // Runs that got past their input ran under a stamped memory plan.
+            if matches!(args[0], "topk" | "compare") && code >= 4 {
+                assert!(report.memory.planned_bytes > 0, "{args:?}: no memory plan");
+            }
         }
     }
 
@@ -2060,6 +1932,15 @@ mod tests {
             let err = run(&["farness", path.to_str().unwrap(), "--fault", spec]).unwrap_err();
             assert_eq!(err.exit_code(), 2, "--fault {spec:?}: {err}");
         }
+        // Commands that never read the limits still reject malformed ones.
+        for args in [
+            vec!["stats", path.to_str().unwrap(), "--fault", "bogus.site=panic"],
+            vec!["stats", path.to_str().unwrap(), "--timeout", "abc"],
+            vec!["generate", "road", "10", "--fault", "bogus.site=panic"],
+            vec!["generate", "road", "10", "--timeout", "abc"],
+        ] {
+            assert_eq!(run(&args).unwrap_err().exit_code(), 2, "{args:?}");
+        }
         for rate in ["0", "1.5", "-0.1", "zebra"] {
             let err = run(&["farness", path.to_str().unwrap(), "--degrade", rate]).unwrap_err();
             assert_eq!(err.exit_code(), 2, "--degrade {rate:?}: {err}");
@@ -2067,12 +1948,38 @@ mod tests {
     }
 
     #[test]
+    fn shared_flags_a_command_does_not_take_are_ignored() {
+        let path = tmp("untaken.el");
+        let g = path.to_str().unwrap();
+        run(&["generate", "road", "150", "--out", g, "--kernel", "bogus", "--degrade", "9",
+              "--max-mem-mb", "x"])
+            .unwrap();
+        run(&["stats", g, "--kernel", "bogus", "--degrade", "9", "--max-mem-mb", "x"]).unwrap();
+        run(&["betweenness", g, "--kernel", "bogus", "--degrade", "9"]).unwrap();
+        // `--degrade` arms no fallback outside farness and compare: a
+        // panicking BCT build still fails prepare and topk (exit 5), and
+        // prepare writes no artifact.
+        let art = tmp("untaken.brics");
+        let _ = std::fs::remove_file(&art);
+        let fault = "bct.build=panic@every:1";
+        for args in [
+            vec!["prepare", g, art.to_str().unwrap(), "--degrade", "--fault", fault],
+            vec!["topk", g, "3", "--degrade", "--fault", fault],
+        ] {
+            assert_eq!(run(&args).unwrap_err().exit_code(), 5, "{args:?}");
+        }
+        assert!(!art.exists(), "prepare saved an artifact after a failed build");
+    }
+
+    #[test]
     fn injected_io_error_is_an_input_error() {
         let path = tmp("iofault.el");
         run(&["generate", "road", "150", "--out", path.to_str().unwrap()]).unwrap();
-        let err = run(&["farness", path.to_str().unwrap(), "--fault", "io.read=io-error"])
-            .unwrap_err();
-        assert_eq!(err.exit_code(), 3, "{err}");
+        for cmd in ["farness", "stats", "betweenness"] {
+            let err = run(&[cmd, path.to_str().unwrap(), "--fault", "io.read=io-error"])
+                .unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -2,14 +2,22 @@
 //!
 //! ```text
 //! brics stats <graph>                         structural statistics
+//! brics prepare <graph> <artifact> [options]  persist the prepare stage
 //! brics farness <graph> [options]             estimate (or compute) farness
+//! brics compare <graph> [options]             methods x rates on one artifact
+//! brics topk <graph> <k> [options]            exact top-k closeness ranking
+//! brics betweenness <graph> [options]         betweenness centrality
 //! brics generate <class> <nodes> [options]    write a synthetic graph
+//! brics report check|diff <report.json> ...   validate or compare run reports
 //! brics help
 //! ```
 //!
-//! Graph files are SNAP-style edge lists (`*.txt`, `*.el`) or MatrixMarket
-//! (`*.mtx`), auto-detected by extension. Disconnected inputs are made
-//! connected the way the paper's preprocessing does (§IV-B).
+//! Graph files are SNAP-style edge lists (`*.txt`, `*.el`), MatrixMarket
+//! (`*.mtx`) or METIS (`*.graph`, `*.metis`), auto-detected by extension.
+//! Disconnected inputs are made connected the way the paper's
+//! preprocessing does (§IV-B). `farness`, `compare` and `topk` also start
+//! from a prepared artifact (`--artifact FILE`). Every command but `help`
+//! and `report` writes its `--metrics` run report on every exit.
 
 mod args;
 mod commands;

@@ -27,7 +27,11 @@
 //!
 //! Per-span snapshots (bytes live at span open, peak within the span) are
 //! captured by [`super::timed`]/[`super::timed_metric`] and attached to
-//! the phase spans of the run report; see [`super::MemSpan`].
+//! the phase spans of the run report; see [`super::MemSpan`]. Each open
+//! span gets its own watermark: opening one lowers the tracked peak to
+//! the live bytes and sets the outer value aside, closing it folds the
+//! span's peak back in, so [`peak_bytes`] keeps its process-wide meaning
+//! throughout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,11 +129,16 @@ static COUNTERS: ShardedCounters = ShardedCounters::new();
 /// read).
 static LIVE: AtomicU64 = AtomicU64::new(0);
 
-/// High-watermark of [`LIVE`]. A fully sharded peak is not well-defined
-/// (the max of per-shard peaks is not the peak of the sum), so the
-/// watermark is maintained with one `fetch_max` against the post-update
-/// live value.
+/// High-watermark of [`LIVE`] since the innermost open span opened (since
+/// process start when none is open). A fully sharded peak is not
+/// well-defined (the max of per-shard peaks is not the peak of the sum),
+/// so the watermark is maintained with one `fetch_max` against the
+/// post-update live value.
 static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Largest watermark an opening span set aside. The process high-water
+/// mark is the larger of this and [`PEAK`].
+static SET_ASIDE: AtomicU64 = AtomicU64::new(0);
 
 /// SplitMix64 — the same mix the fault-injection triggers use; here it
 /// spreads block addresses over the shards.
@@ -162,23 +171,46 @@ pub fn live_bytes() -> u64 {
 
 /// High-watermark of [`live_bytes`] since process start.
 pub fn peak_bytes() -> u64 {
-    PEAK.load(Ordering::Relaxed)
+    PEAK.load(Ordering::Relaxed).max(SET_ASIDE.load(Ordering::Relaxed))
 }
 
-/// Lowers the high-watermark to the bytes live now, so the next span that
-/// allocates raises it and its [`MemSpan`](super::MemSpan) peak is exact.
-/// A test hook: the watermark is process-global, so a test calls this
-/// only while it holds whatever lock serializes its readers of the
-/// ledger. Estimators and binaries never call it.
-pub fn reset_peak() {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+/// A span's own heap watermark, open while the guard lives: opening
+/// lowers the tracked peak to the bytes live now and sets the outer
+/// watermark aside; dropping the guard folds the span's peak back into it,
+/// so an enclosing span's peak covers this one. The fold runs on unwinding
+/// too, so a span a panic cuts short does not lose its parent's peak.
+/// Spans must close in the reverse order they opened, as nested calls do.
+pub(crate) struct SpanPeak {
+    /// Live bytes when the span opened.
+    pub(crate) open_bytes: u64,
+    outer: u64,
+}
+
+impl SpanPeak {
+    pub(crate) fn open() -> Self {
+        let open_bytes = LIVE.load(Ordering::Relaxed);
+        let outer = PEAK.swap(open_bytes, Ordering::Relaxed);
+        SET_ASIDE.fetch_max(outer, Ordering::Relaxed);
+        SpanPeak { open_bytes, outer }
+    }
+
+    /// Closes the span and returns its peak.
+    pub(crate) fn close(self) -> u64 {
+        PEAK.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for SpanPeak {
+    fn drop(&mut self) {
+        PEAK.fetch_max(self.outer, Ordering::Relaxed);
+    }
 }
 
 /// Whether the tracking allocator is installed in this process (i.e. at
 /// least one allocation has been accounted — with the allocator installed
 /// as `#[global_allocator]` that is true before `main` runs).
 pub fn tracking_active() -> bool {
-    PEAK.load(Ordering::Relaxed) > 0
+    peak_bytes() > 0
 }
 
 /// Merged snapshot of the process-global allocation ledger.

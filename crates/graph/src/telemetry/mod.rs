@@ -336,19 +336,20 @@ const NUM_METRICS: usize = Metric::ALL.len();
 /// [`timed_metric`] from the [`memory`] ledger (all-zero when the
 /// tracking allocator is not installed).
 ///
-/// `peak_bytes` is exact when the span advanced the process high-watermark
-/// (the common case for the scratch-heavy phases the plan models); when it
-/// did not, the value falls back to `max(open, close)` — a sound
-/// *non-inflating* bound, never above the true in-span peak's watermark.
-/// Concurrent spans each observe the shared process counters, so a span's
+/// `peak_bytes` is the span's own high-watermark: opening the span lowers
+/// the tracked peak to the live bytes, and closing it folds the span's
+/// peak back into its parent's. So the figure is exact even when an
+/// earlier, heavier phase set the process peak, and a parent's peak covers
+/// its children's. The watermark is shared by every thread, so a span's
 /// footprint attributes all threads' traffic during its window; per-phase
-/// numbers are upper bounds on that phase's own allocations.
+/// numbers are upper bounds on that phase's own allocations. Spans must
+/// nest (each closes before its parent does), as the instrumented code
+/// opens them from the calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemSpan {
     /// Tracked live bytes when the span opened.
     pub open_bytes: u64,
-    /// Peak tracked live bytes within the span (see above for the exact
-    /// semantics when the process watermark did not move).
+    /// Peak tracked live bytes within the span.
     pub peak_bytes: u64,
 }
 
@@ -430,38 +431,13 @@ pub trait Recorder: Sync {
     }
 }
 
-/// Closes the heap snapshot opened before a timed region: exact when the
-/// region advanced the process high-watermark, a `max(open, close)`
-/// fallback (sound, never inflating) otherwise. See [`MemSpan`].
-fn close_mem_span(open_bytes: u64, peak_before: u64) -> MemSpan {
-    let peak_after = memory::peak_bytes();
-    let peak_bytes = if peak_after > peak_before {
-        peak_after
-    } else {
-        open_bytes.max(memory::live_bytes())
-    };
-    MemSpan { open_bytes, peak_bytes }
-}
-
 /// Runs `f`, recording its wall time as a span named `phase` when the
 /// recorder is enabled (and as a timestamped trace event when tracing is
 /// on), with a [`MemSpan`] heap snapshot attached when the tracking
 /// allocator is installed. With a disabled recorder this is exactly
 /// `f()` — not even the clock is read.
 pub fn timed<R: Recorder, T>(rec: &R, phase: &'static str, f: impl FnOnce() -> T) -> T {
-    if !rec.enabled() {
-        return f();
-    }
-    let open_bytes = memory::live_bytes();
-    let peak_before = memory::peak_bytes();
-    let start = Instant::now();
-    let out = f();
-    let end = Instant::now();
-    rec.span_mem(phase, end - start, close_mem_span(open_bytes, peak_before));
-    if rec.trace_enabled() {
-        rec.trace_span(phase, start, end);
-    }
-    out
+    timed_span(rec, phase, None, f)
 }
 
 /// [`timed`] that additionally feeds the elapsed nanoseconds into a
@@ -473,16 +449,30 @@ pub fn timed_metric<R: Recorder, T>(
     metric: Metric,
     f: impl FnOnce() -> T,
 ) -> T {
+    timed_span(rec, phase, Some(metric), f)
+}
+
+/// The body [`timed`] and [`timed_metric`] share: `f` runs under its own
+/// heap watermark (see [`MemSpan`]).
+fn timed_span<R: Recorder, T>(
+    rec: &R,
+    phase: &'static str,
+    metric: Option<Metric>,
+    f: impl FnOnce() -> T,
+) -> T {
     if !rec.enabled() {
         return f();
     }
-    let open_bytes = memory::live_bytes();
-    let peak_before = memory::peak_bytes();
+    let span = memory::SpanPeak::open();
+    let open_bytes = span.open_bytes;
     let start = Instant::now();
     let out = f();
     let end = Instant::now();
-    rec.span_mem(phase, end - start, close_mem_span(open_bytes, peak_before));
-    rec.observe(metric, (end - start).as_nanos() as u64);
+    let peak_bytes = span.close();
+    rec.span_mem(phase, end - start, MemSpan { open_bytes, peak_bytes });
+    if let Some(metric) = metric {
+        rec.observe(metric, (end - start).as_nanos() as u64);
+    }
     if rec.trace_enabled() {
         rec.trace_span(phase, start, end);
     }

@@ -12,9 +12,9 @@
 //!   budgeted admission has armed the baseline.
 //!
 //! Every test holds [`MEM_LOCK`] (see [`mem_lock`]) so one test's
-//! transient allocations don't inflate another's observed span peaks, and
-//! the span measurements reset the process high-watermark first, so each
-//! one is exact whatever ran before it.
+//! transient allocations don't inflate another's observed span peaks.
+//! Each span measures against its own heap watermark, so its peak is
+//! exact whatever ran before it.
 
 mod common;
 
@@ -24,7 +24,7 @@ use brics::{
     ExecutionContext, MemoryPlan, Method, PrepareConfig, PreparedGraph, RunRecorder, SampleSize,
 };
 use brics_graph::generators::{ClassParams, GraphClass};
-use brics_graph::telemetry::memory;
+use brics_graph::telemetry::{memory, timed};
 use brics_graph::{CsrGraph, RunControl, RunOutcome};
 
 #[global_allocator]
@@ -78,18 +78,62 @@ fn results_are_bit_identical_with_tracker_installed() {
     );
 }
 
-/// Builds the prepare stage `method` queries, untraced, then lowers the
-/// process high-watermark: every span the caller records next raises it,
-/// so its heap peak is measured exactly.
-fn prepare_then_reset_peak(g: &CsrGraph, method: Method) -> PreparedGraph<'_> {
+/// Pins per-span watermarks: a span that allocates less than an earlier
+/// phase did still reads its own peak, not the process high-watermark,
+/// and a parent span's peak covers its child's.
+#[test]
+fn span_peak_is_exact_after_a_heavier_allocation() {
+    let _guard = mem_lock();
+    const MIB: u64 = 1 << 20;
+    drop(std::hint::black_box(vec![1u8; 32 << 20]));
+    let rec = RunRecorder::new();
+    timed(&rec, "outer", || {
+        let outer = std::hint::black_box(vec![1u8; 1 << 20]);
+        timed(&rec, "inner", || drop(std::hint::black_box(vec![1u8; 256 << 10])));
+        drop(outer);
+    });
+    let report = rec.report();
+    let footprint = |name: &str| {
+        report.phases.iter().find(|p| p.name == name).expect("span recorded").mem_footprint_bytes
+    };
+    let inner = footprint("inner");
+    assert!((256 << 10..MIB).contains(&inner), "inner span footprint {inner}");
+    let outer = footprint("outer");
+    assert!((MIB + (256 << 10)..32 * MIB).contains(&outer), "outer span footprint {outer}");
+    assert!(memory::peak_bytes() >= 32 * MIB, "process peak lost the 32 MiB block");
+}
+
+/// A span that a panic unwinds still folds its parent's watermark back,
+/// as a caught panic in the prepare stage does under `--degrade`: the
+/// parent's peak keeps the allocation it made before the child opened.
+#[test]
+fn unwound_span_keeps_its_parents_peak() {
+    let _guard = mem_lock();
+    const MIB: u64 = 1 << 20;
+    let rec = RunRecorder::new();
+    timed(&rec, "outer", || {
+        drop(std::hint::black_box(vec![1u8; 1 << 20]));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Unwinds without running the panic hook, whose backtrace
+            // capture would allocate inside the span.
+            timed(&rec, "inner", || std::panic::resume_unwind(Box::new("injected")))
+        }));
+        assert!(caught.is_err());
+    });
+    let report = rec.report();
+    let outer = report.phases.iter().find(|p| p.name == "outer").expect("span recorded");
+    let footprint = outer.mem_footprint_bytes;
+    assert!(footprint >= MIB, "outer span footprint {footprint}");
+}
+
+/// Builds the prepare stage `method` queries, untraced.
+fn prepare_untraced(g: &CsrGraph, method: Method) -> PreparedGraph<'_> {
     let cfg = PrepareConfig {
         reductions: method.reductions(),
         use_bcc: method.uses_bcc(),
         reorder: false,
     };
-    let p = PreparedGraph::build_with(g, cfg, &ExecutionContext::new()).unwrap();
-    memory::reset_peak();
-    p
+    PreparedGraph::build_with(g, cfg, &ExecutionContext::new()).unwrap()
 }
 
 #[test]
@@ -106,7 +150,7 @@ fn planned_bytes_bound_observed_span_peaks() {
         (Method::Cumulative, plan.cumulative_bytes),
     ];
     for (method, planned) in cases {
-        let p = prepare_then_reset_peak(&g, method);
+        let p = prepare_untraced(&g, method);
         let rec = RunRecorder::new();
         let ctx = ExecutionContext::new().with_recorder(&rec);
         match method {
@@ -135,7 +179,6 @@ fn planned_bytes_bound_observed_span_peaks() {
     }
 
     // Exact sweeps and top-k verification go through their own planners.
-    memory::reset_peak();
     let rec = RunRecorder::new();
     let ctx = ExecutionContext::new().with_recorder(&rec);
     brics::exact_farness_in(&g, &ctx).unwrap();
@@ -148,7 +191,7 @@ fn planned_bytes_bound_observed_span_peaks() {
         plan.exact_bytes
     );
 
-    let p = prepare_then_reset_peak(&g, Method::Cumulative);
+    let p = prepare_untraced(&g, Method::Cumulative);
     let rec = RunRecorder::new();
     let ctx = ExecutionContext::new().with_recorder(&rec);
     p.topk(10, sample, 19, &ctx).unwrap();
